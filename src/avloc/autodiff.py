@@ -257,8 +257,8 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0):
         raise ValueError("sqrt: input must be nonnegative")
     r = np.sqrt(a.data)
-    # Gradient is only defined away from zero; callers keep inputs positive.
-    return _op(r, [(a, lambda g: g / (2.0 * r))])
+    # 1 / (2 sqrt(x)) is unbounded at 0; use the zero subgradient there.
+    return _op(r, [(a, lambda g: np.divide(g, 2.0 * r, out=np.zeros_like(g), where=r > 0))])
 
 
 def pow_const(a: Tensor, exponent: float) -> Tensor:
@@ -401,6 +401,25 @@ def weighted_sum(stack: Tensor, weights: Tensor) -> Tensor:
     return _op(data, [(stack, vjp_stack), (weights, vjp_weights)])
 
 
+def central_differences(f: Callable[[], Array], x: Array, h: float = 1e-5) -> Array:
+    """Numeric Jacobian of a vector-valued f() with respect to the array x.
+
+    f() returns an [m] array and reads x. Each coordinate of x (in C order)
+    is perturbed in place by +h and -h, then restored; row i of the
+    [x.size, m] result is (f(x + h e_i) - f(x - h e_i)) / 2h.
+    """
+    rows = []
+    for idx in np.ndindex(x.shape):
+        orig = x[idx]
+        x[idx] = orig + h
+        plus = f()
+        x[idx] = orig - h
+        minus = f()
+        x[idx] = orig
+        rows.append((plus - minus) / (2.0 * h))
+    return np.array(rows)
+
+
 def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-5) -> float:
     """Max relative error between the analytic gradient of scalar f and central differences.
 
@@ -413,16 +432,8 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-5) ->
         raise ShapeError(f"grad_check: f must be scalar-valued, got shape {y.shape}")
     y.backward()
     analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-    flat = point.data.copy().ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(Tensor(flat.reshape(point.data.shape))).item()
-        flat[i] = orig - h
-        fm = f(Tensor(flat.reshape(point.data.shape))).item()
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
+    probe = point.data.copy()
+    numeric = central_differences(lambda: f(Tensor(probe)).data.reshape(1), probe, h).ravel()
     a = analytic.ravel()
     rel = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
     return float(rel.max()) if rel.size else 0.0

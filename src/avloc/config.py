@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,17 +49,27 @@ class RunConfig:
                 )
 
 
-def _build_section(section: str, cls, obj: dict, renames: dict[str, str] | None = None):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{section}: expected a JSON object")
+def _field_values(prefix: str, cls, obj: dict, renames: dict[str, str] | None = None) -> dict:
+    """Map JSON keys onto fields of dataclass `cls`, rejecting unknown names and
+    anything but a JSON integer (a bool included) for an `int` field."""
     renames = renames or {}
+    types = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in obj.items():
         name = renames.get(key, key)
         if name not in known:
-            raise ConfigError(f"{section}.{key}: unknown field")
+            raise ConfigError(f"{prefix}{key}: unknown field")
+        if types[name] is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{prefix}{key}: expected an integer, got {value!r}")
         kwargs[name] = value
+    return kwargs
+
+
+def _build_section(section: str, cls, obj: dict, renames: dict[str, str] | None = None):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section}: expected a JSON object")
+    kwargs = _field_values(f"{section}.", cls, obj, renames)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -72,24 +83,20 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     for key in raw:
         if key not in known:
             raise ConfigError(f"{key}: unknown top-level field")
-    seed = raw.get("seed", 42)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: expected an integer")
-
-    synth_raw = dict(raw.get("synth", {}))
-    val_clips = synth_raw.pop("val_clips", 25)
-    test_clips = synth_raw.pop("test_clips", 50)
-    if not isinstance(val_clips, int) or not isinstance(test_clips, int):
-        raise ConfigError("synth.val_clips/test_clips: expected integers")
+    seed = {k: v for k, v in raw.items() if k == "seed"}
+    synth_raw = raw.get("synth", {})
+    if not isinstance(synth_raw, dict):
+        raise ConfigError("synth: expected a JSON object")
+    splits = {k: v for k, v in synth_raw.items() if k in ("val_clips", "test_clips")}
+    synth_raw = {k: v for k, v in synth_raw.items() if k not in splits}
 
     try:
         return RunConfig(
-            seed=seed,
+            **_field_values("", RunConfig, seed),
+            **_field_values("synth.", RunConfig, splits),
             model=_build_section("model", ModelConfig, raw.get("model", {})),
             synth=_build_section("synth", SynthConfig, synth_raw,
                                  renames={"train_clips": "count"}),
-            val_clips=val_clips,
-            test_clips=test_clips,
             loss=_build_section("loss", LossConfig, raw.get("loss", {})),
             optim=_build_section("optim", OptimConfig, raw.get("optim", {})),
             infer=_build_section("infer", InferenceConfig, raw.get("infer", {})),

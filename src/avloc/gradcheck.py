@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import central_differences
 from .data import SynthConfig, generate_clip
 from .losses import LossConfig
 from .model import Model, ModelConfig, parameter_group
@@ -99,15 +100,7 @@ def model_grad_errors(
     errors = {(loss, group): 0.0 for loss in LOSS_NAMES for group in groups}
     for name, p in model.params.items():
         group = parameter_group(name)
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            plus = loss_values()
-            flat[i] = orig - h
-            minus = loss_values()
-            flat[i] = orig
-            numeric = (plus - minus) / (2.0 * h)
+        for i, numeric in enumerate(central_differences(loss_values, p.data, h)):
             for k, loss_name in enumerate(LOSS_NAMES):
                 a = analytic[loss_name][name].ravel()[i]
                 rel = float(abs(a - numeric[k]) / max(1.0, abs(a)))

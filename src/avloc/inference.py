@@ -52,7 +52,6 @@ def align_backward(bwd: ProbTriplet) -> ProbTriplet:
         start=bwd.end[::-1].copy(),
         end=bwd.start[::-1].copy(),
         content=bwd.content[::-1].copy(),
-        direction="forward",
     )
 
 
@@ -66,7 +65,6 @@ def fuse_bidirectional(fwd: ProbTriplet, bwd: ProbTriplet) -> ProbTriplet:
         start=np.sqrt(fwd.start * aligned.start),
         end=np.sqrt(fwd.end * aligned.end),
         content=np.sqrt(fwd.content * aligned.content),
-        direction="forward",
     )
 
 
@@ -103,22 +101,14 @@ def _interval_iou(starts: np.ndarray, ends: np.ndarray, start: int, end: int) ->
     return inter / union
 
 
-def soft_nms(
-    proposals: list[ScoredProposal],
-    sigma: float = 0.5,
-    score_floor: float = 1e-4,
-    top_k: int = 100,
-) -> list[ScoredProposal]:
+def soft_nms(proposals: list[ScoredProposal], cfg: InferenceConfig) -> list[ScoredProposal]:
     """Gaussian Soft-NMS: keep the current best, decay overlaps by exp(-IoU^2 / sigma).
 
-    Proposals whose decayed score falls below score_floor are dropped;
-    selection stops after top_k picks. Score ties resolve to the earliest
+    Proposals whose decayed score falls below cfg.score_floor are dropped;
+    selection stops after cfg.top_k picks. Score ties resolve to the earliest
     proposal in input order.
     """
-    if sigma <= 0:
-        raise ValueError(f"soft_nms: sigma must be > 0, got {sigma}")
-    if top_k < 1:
-        raise ValueError(f"soft_nms: top_k must be >= 1, got {top_k}")
+    sigma, score_floor, top_k = cfg.sigma, cfg.score_floor, cfg.top_k
     if not proposals:
         return []
     starts = np.array([p.segment.start for p in proposals], dtype=np.float64)

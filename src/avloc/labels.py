@@ -56,7 +56,6 @@ class ProbTriplet:
     start: np.ndarray
     end: np.ndarray
     content: np.ndarray
-    direction: str = "forward"
 
 
 def merge_segments(ann: StreamAnnotation) -> list[Segment]:
@@ -134,7 +133,7 @@ def build_prob_triplet(
         np.maximum(start, _overlap_with_frames(t, c_start - half, c_start + half), out=start)
         np.maximum(end, _overlap_with_frames(t, c_end - half, c_end + half), out=end)
         np.maximum(content, _overlap_with_frames(t, seg.start, seg.end), out=content)
-    return ProbTriplet(start=start, end=end, content=content, direction=direction)
+    return ProbTriplet(start=start, end=end, content=content)
 
 
 def labels_to_dict(ann: StreamAnnotation, max_duration: int, d_f: float = 1.0) -> dict:

@@ -9,7 +9,8 @@ Three terms combined as alpha * contrastive + boundary-map MSE + focal sum:
 * a masked MSE between the predicted and target boundary maps, averaged
   over in-range cells only;
 * a class-balanced focal loss on each of the six start / end / content
-  sequences (forward and backward).
+  sequences (forward and backward), sliced from the columns of the frame
+  head's [T, 3] output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .labels import BoundaryMap, FrameLabels, ProbTriplet
-from .model import FrameProbs
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,22 @@ def focal_loss(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
 
 
 def frame_prob_loss(
-    pred_fwd: FrameProbs,
-    pred_bwd: FrameProbs,
+    pred_fwd: Tensor,
+    pred_bwd: Tensor,
     true_fwd: ProbTriplet,
     true_bwd: ProbTriplet,
     cfg: LossConfig,
 ) -> Tensor:
-    """Sum of the six focal terms (start/end/content, both directions)."""
+    """Sum of the six focal terms (start/end/content, both directions).
+
+    Each prediction is a [T, 3] tensor with columns start, end, content.
+    """
     total = None
     for pred, true in ((pred_fwd, true_fwd), (pred_bwd, true_bwd)):
-        for channel in ("start", "end", "content"):
-            term = focal_loss(getattr(pred, channel), getattr(true, channel), cfg)
+        t = pred.shape[0]
+        for k, channel in enumerate(("start", "end", "content")):
+            column = ad.reshape(ad.slice_axis(pred, 1, k, k + 1), (t,))
+            term = focal_loss(column, getattr(true, channel), cfg)
             total = term if total is None else total + term
     return total
 

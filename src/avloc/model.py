@@ -7,8 +7,8 @@ with a frame classifier, then two heads on the fused per-frame features:
   (start j, duration i+1) with a fixed interpolation mask, collapses the
   sample axis with learned weights, and scores the [L, T] grid with a small
   2-d conv stack;
-* a frame-probability head, a 2-level U-Net over time producing per-frame
-  start / end / content probabilities.
+* a frame-probability head, a 2-level U-Net over time producing a [T, 3]
+  tensor of per-frame probabilities, columns start / end / content.
 
 The whole model runs on the forward stream and on the time-reversed stream;
 the boundary-map head sees only the forward features.
@@ -16,6 +16,7 @@ the boundary-map head sees only the forward features.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,21 +182,11 @@ class EncodeOutput:
 
 
 @dataclass
-class FrameProbs:
-    """Predicted start / end / content probability sequences, one direction."""
-
-    start: Tensor    # [T]
-    end: Tensor      # [T]
-    content: Tensor  # [T]
-    direction: str = "forward"
-
-
-@dataclass
 class ForwardOutput:
     frame_probs: Tensor        # [T, 1], forward direction
     boundary_map: Tensor       # [L, T], forward direction
-    probs_fwd: FrameProbs
-    probs_bwd: FrameProbs
+    probs_fwd: Tensor          # [T, 3] start / end / content, forward direction
+    probs_bwd: Tensor          # [T, 3], backward direction (in reversed time)
     f_av_fwd: Tensor = field(repr=False, default=None)
     f_va_fwd: Tensor = field(repr=False, default=None)
     f_av_bwd: Tensor = field(repr=False, default=None)
@@ -220,8 +211,13 @@ class Model:
         self.cfg = cfg
         self.params = params if params is not None else init_params(cfg, seed)
         expected = _param_shapes(cfg)
-        if set(self.params) != set(expected):
-            raise CheckpointError("parameter table does not match the model config")
+        missing = set(expected) - set(self.params)
+        extra = set(self.params) - set(expected)
+        if missing or extra:
+            raise CheckpointError(
+                f"parameter names do not match config "
+                f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
+            )
         for name, shape in expected.items():
             if self.params[name].shape != shape:
                 raise CheckpointError(
@@ -270,9 +266,8 @@ class Model:
         out = ad.sigmoid(ad.add(ad.matmul(flat, p["map_head.out_w"]), p["map_head.out_b"]))
         return ad.reshape(out, (cfg.max_duration, cfg.num_frames))
 
-    def frame_prob_head(self, fused: Tensor, direction: str = "forward") -> FrameProbs:
-        """2-level U-Net over time: [T, C+1] -> three [T] probability sequences."""
-        cfg = self.cfg
+    def frame_prob_head(self, fused: Tensor) -> Tensor:
+        """2-level U-Net over time: [T, C+1] -> [T, 3] start / end / content probabilities."""
         p = self.params
         e1 = ad.relu(ad.add(ad.conv1d(fused, p["frame_head.enc1_w"]), p["frame_head.enc1_b"]))
         p1 = ad.max_pool1d(e1)
@@ -288,14 +283,7 @@ class Model:
             ad.conv1d(ad.concat([u2, e1], axis=1), p["frame_head.dec2_w"]),
             p["frame_head.dec2_b"],
         ))
-        out = ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"]))
-        t = cfg.num_frames
-        return FrameProbs(
-            start=ad.reshape(ad.slice_axis(out, 1, 0, 1), (t,)),
-            end=ad.reshape(ad.slice_axis(out, 1, 1, 2), (t,)),
-            content=ad.reshape(ad.slice_axis(out, 1, 2, 3), (t,)),
-            direction=direction,
-        )
+        return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"]))
 
     def forward_full(self, stream: FeatureStream) -> ForwardOutput:
         fwd = self.encode_and_fuse(stream, "forward")
@@ -303,8 +291,8 @@ class Model:
         return ForwardOutput(
             frame_probs=fwd.frame_probs,
             boundary_map=self.boundary_map_head(fwd.fused),
-            probs_fwd=self.frame_prob_head(fwd.fused, "forward"),
-            probs_bwd=self.frame_prob_head(bwd.fused, "backward"),
+            probs_fwd=self.frame_prob_head(fwd.fused),
+            probs_bwd=self.frame_prob_head(bwd.fused),
             f_av_fwd=fwd.f_av,
             f_va_fwd=fwd.f_va,
             f_av_bwd=bwd.f_av,
@@ -336,35 +324,30 @@ def load_checkpoint(path: Path, cfg: ModelConfig) -> Model:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     offset = 12
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(buf):
+            raise CheckpointError(f"{path}: truncated at byte {offset}")
+        offset += n
+        return buf[offset - n:offset]
+
     params: dict[str, Tensor] = {}
     for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
         try:
-            (name_len,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            name = buf[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", buf, offset)
-            offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(buf, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-        except struct.error as exc:
-            raise CheckpointError(f"{path}: truncated at byte {offset}") from exc
-        params[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
-    expected = _param_shapes(cfg)
-    missing = set(expected) - set(params)
-    extra = set(params) - set(expected)
-    if missing or extra:
-        raise CheckpointError(
-            f"{path}: parameter names do not match config "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-        )
-    for name, shape in expected.items():
-        if params[name].shape != shape:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
             raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {params[name].shape}, "
-                f"config requires {shape}"
-            )
-    return Model(cfg, params=params)
+                f"{path}: parameter name is not UTF-8 at byte {offset - name_len}"
+            ) from None
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        params[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
+    if offset != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes at byte {offset}")
+    try:
+        return Model(cfg, params=params)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -1,4 +1,8 @@
-"""Dataset-level orchestration shared by the CLI and the experiment scripts."""
+"""Dataset-level orchestration shared by the CLI and the experiment scripts.
+
+The model's frame head emits a [T, 3] tensor per direction (columns start,
+end, content); inference reads its columns as a numpy ProbTriplet.
+"""
 
 from __future__ import annotations
 
@@ -14,15 +18,6 @@ from .labels import ProbTriplet, merge_segments
 from .model import Model
 
 
-def _to_numpy_triplet(probs) -> ProbTriplet:
-    return ProbTriplet(
-        start=probs.start.data.copy(),
-        end=probs.end.data.copy(),
-        content=probs.content.data.copy(),
-        direction=probs.direction,
-    )
-
-
 def predict_clip(
     model: Model, clip: Clip, infer_cfg: InferenceConfig, fusion: str = "both"
 ) -> list[ScoredProposal]:
@@ -35,18 +30,13 @@ def predict_clip(
         raise ValueError(f"unknown fusion mode {fusion!r}")
     stream, _ = clip
     out = model.forward_full(stream)
-    fwd = _to_numpy_triplet(out.probs_fwd)
+    fwd = ProbTriplet(*out.probs_fwd.data.T)
     if fusion == "both":
-        probs = fuse_bidirectional(fwd, _to_numpy_triplet(out.probs_bwd))
+        probs = fuse_bidirectional(fwd, ProbTriplet(*out.probs_bwd.data.T))
     else:
         probs = fwd
     proposals = score_proposals(out.boundary_map.data, probs)
-    return soft_nms(
-        proposals,
-        sigma=infer_cfg.sigma,
-        score_floor=infer_cfg.score_floor,
-        top_k=infer_cfg.top_k,
-    )
+    return soft_nms(proposals, infer_cfg)
 
 
 def predict_dataset(
@@ -59,10 +49,3 @@ def predict_dataset(
 def ground_truth_segments(annotations: list[StreamAnnotation]) -> dict[str, list]:
     """Union-merged fake segments per clip id (the evaluation ground truth)."""
     return {ann.id: merge_segments(ann) for ann in annotations}
-
-
-def fake_fraction(annotations: list[StreamAnnotation]) -> float:
-    """Dataset-level fraction of frames covered by any fake segment."""
-    fake = sum(sum(s.length for s in merge_segments(a)) for a in annotations)
-    total = sum(a.num_frames for a in annotations)
-    return fake / total if total else 0.0

@@ -13,7 +13,13 @@ import pytest
 from avloc.cli import main as cli
 from avloc.data import Segment
 from avloc.evaluate import average_precision, average_recall, evaluate, recall_at
-from avloc.inference import ScoredProposal, fuse_bidirectional, score_proposals, soft_nms
+from avloc.inference import (
+    InferenceConfig,
+    ScoredProposal,
+    fuse_bidirectional,
+    score_proposals,
+    soft_nms,
+)
 from avloc.labels import ProbTriplet, build_boundary_map, build_prob_triplet
 from oracles import (
     brute_force_ap,
@@ -139,7 +145,7 @@ def test_criterion_4_inference_oracles():
                                    rng.uniform(0.005, 1, n))]
         sigma, floor, top_k = float(rng.uniform(0.2, 0.9)), 1e-3, int(rng.integers(1, 7))
         got = soft_nms([ScoredProposal(Segment(s, e), x) for s, e, x in rows],
-                       sigma=sigma, score_floor=floor, top_k=top_k)
+                       InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k))
         want = brute_force_soft_nms(rows, sigma, floor, top_k)
         nms_ok = nms_ok and len(got) == len(want) and all(
             (g.segment.start, g.segment.end) == (w[0], w[1])
@@ -152,13 +158,12 @@ def test_criterion_4_inference_oracles():
     trip = ProbTriplet(start=rng.uniform(0, 1, 16), end=rng.uniform(0, 1, 16),
                        content=rng.uniform(0, 1, 16))
     mirror = ProbTriplet(start=trip.end[::-1].copy(), end=trip.start[::-1].copy(),
-                         content=trip.content[::-1].copy(), direction="backward")
+                         content=trip.content[::-1].copy())
     fused = fuse_bidirectional(trip, mirror)
     idem = (np.allclose(fused.start, trip.start, atol=1e-15)
             and np.allclose(fused.end, trip.end, atol=1e-15)
             and np.allclose(fused.content, trip.content, atol=1e-15))
-    vetoed = ProbTriplet(start=np.zeros(16), end=np.zeros(16), content=np.zeros(16),
-                         direction="backward")
+    vetoed = ProbTriplet(start=np.zeros(16), end=np.zeros(16), content=np.zeros(16))
     veto = not np.any(fuse_bidirectional(trip, vetoed).start)
     ok = ok and idem and veto
     detail.append("fusion sqrt(p*p)=p and zero-veto hold")

@@ -187,6 +187,22 @@ def test_grad_check_exact_polynomial():
     assert err <= 1e-8
 
 
+def test_central_differences_vector_valued():
+    x = RNG.uniform(0.5, 2.0, size=(2, 3))
+    before = x.copy()
+
+    def f():
+        return np.array([np.sum(x ** 2), np.sum(np.sin(x)), x[0, 1] * x[1, 2]])
+
+    numeric = ad.central_differences(f, x, h=H)
+    cross = np.zeros_like(x)
+    cross[0, 1], cross[1, 2] = x[1, 2], x[0, 1]
+    analytic = np.stack([2.0 * x, np.cos(x), cross]).reshape(3, x.size).T
+    assert numeric.shape == (x.size, 3)
+    np.testing.assert_allclose(numeric, analytic, rtol=0, atol=1e-8)
+    assert np.array_equal(x, before)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=5),

@@ -74,6 +74,15 @@ def test_malformed_json_config_exits_1(tmp_path):
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("bad", [{"optim": {"epochs": 1.5}}, {"seed": True}])
+def test_non_integer_config_field_exits_1(dataset, tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, **bad)))
+    assert main(["train", "--config", str(path), "--data", str(dataset),
+                 "--out", str(tmp_path / "model.ckpt")]) == 1
+    assert "expected an integer" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1():
     assert main(["synth"]) == 1          # missing --out
     assert main(["no-such-command"]) == 1

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -56,3 +57,20 @@ def test_invalid_json_reports_byte_offset(tmp_path):
 def test_split_counts_must_be_integers():
     with pytest.raises(ConfigError, match="val_clips"):
         run_config_from_dict({"synth": {"val_clips": "ten"}})
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"optim": {"epochs": 1.5}}, "optim.epochs"),
+    ({"optim": {"batch_size": 1.5}}, "optim.batch_size"),
+    ({"model": {"channels": True}}, "model.channels"),
+    ({"seed": True}, "seed"),
+    ({"synth": {"test_clips": True}}, "synth.test_clips"),
+])
+def test_integer_fields_reject_bools_and_fractions(raw, field):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected an integer"):
+        run_config_from_dict(raw)
+
+
+def test_synth_section_must_be_an_object():
+    with pytest.raises(ConfigError, match="synth: expected a JSON object"):
+        run_config_from_dict({"synth": 5})

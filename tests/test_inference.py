@@ -16,10 +16,10 @@ from oracles import brute_force_scores, brute_force_soft_nms, random_annotation
 RNG = np.random.default_rng(404)
 
 
-def rand_triplet(t, rng, direction="forward"):
+def rand_triplet(t, rng):
     return ProbTriplet(
         start=rng.uniform(0, 1, t), end=rng.uniform(0, 1, t),
-        content=rng.uniform(0, 1, t), direction=direction,
+        content=rng.uniform(0, 1, t),
     )
 
 
@@ -29,7 +29,7 @@ def test_fuse_self_is_identity():
     trip = rand_triplet(10, np.random.default_rng(1))
     mirrored = ProbTriplet(
         start=trip.end[::-1].copy(), end=trip.start[::-1].copy(),
-        content=trip.content[::-1].copy(), direction="backward",
+        content=trip.content[::-1].copy(),
     )
     fused = fuse_bidirectional(trip, mirrored)
     np.testing.assert_allclose(fused.start, trip.start, atol=1e-15)
@@ -39,8 +39,7 @@ def test_fuse_self_is_identity():
 
 def test_fuse_geometric_mean_value():
     fwd = ProbTriplet(start=np.array([0.25]), end=np.array([0.25]), content=np.array([0.25]))
-    bwd = ProbTriplet(start=np.array([1.0]), end=np.array([1.0]), content=np.array([1.0]),
-                      direction="backward")
+    bwd = ProbTriplet(start=np.array([1.0]), end=np.array([1.0]), content=np.array([1.0]))
     fused = fuse_bidirectional(fwd, bwd)
     assert fused.start[0] == pytest.approx(0.5)
 
@@ -49,7 +48,7 @@ def test_fuse_zero_vetoes():
     rng = np.random.default_rng(2)
     fwd = rand_triplet(6, rng)
     fwd.start[3] = 0.0
-    bwd = rand_triplet(6, rng, direction="backward")
+    bwd = rand_triplet(6, rng)
     fused = fuse_bidirectional(fwd, bwd)
     assert fused.start[3] == 0.0
     bwd.content[:] = 0.0
@@ -59,7 +58,7 @@ def test_fuse_zero_vetoes():
 def test_fuse_commutes_after_alignment():
     rng = np.random.default_rng(3)
     fwd = rand_triplet(8, rng)
-    bwd = rand_triplet(8, rng, direction="backward")
+    bwd = rand_triplet(8, rng)
     a = fuse_bidirectional(fwd, bwd)
     aligned = align_backward(bwd)
     b_start = np.sqrt(aligned.start * fwd.start)
@@ -140,17 +139,17 @@ def prop(s, e, score):
 
 
 def test_single_proposal_unchanged():
-    out = soft_nms([prop(2, 6, 0.7)])
+    out = soft_nms([prop(2, 6, 0.7)], InferenceConfig())
     assert out == [prop(2, 6, 0.7)]
 
 
 def test_disjoint_proposals_unchanged():
-    out = soft_nms([prop(0, 4, 0.9), prop(10, 14, 0.6)])
+    out = soft_nms([prop(0, 4, 0.9), prop(10, 14, 0.6)], InferenceConfig())
     assert {(p.segment.start, p.score) for p in out} == {(0, 0.9), (10, 0.6)}
 
 
 def test_identical_segments_decay():
-    out = soft_nms([prop(3, 9, 0.9), prop(3, 9, 0.8)], sigma=0.5)
+    out = soft_nms([prop(3, 9, 0.9), prop(3, 9, 0.8)], InferenceConfig(sigma=0.5))
     assert out[0].score == 0.9
     assert out[1].score == pytest.approx(0.8 * np.exp(-2.0))  # ~0.10827
 
@@ -162,7 +161,7 @@ def test_top1_always_survives_unchanged():
                  for s, d, x in zip(rng.integers(0, 20, 6), rng.integers(1, 8, 6),
                                     rng.uniform(0.1, 1, 6))]
         best = max(props, key=lambda p: p.score)
-        out = soft_nms(props, sigma=0.4, score_floor=1e-4, top_k=6)
+        out = soft_nms(props, InferenceConfig(sigma=0.4, score_floor=1e-4, top_k=6))
         assert out[0] == best
 
 
@@ -175,7 +174,7 @@ def test_scores_never_increase_and_segments_are_subset():
     for p in props:
         key = (p.segment.start, p.segment.end)
         originals[key] = max(originals.get(key, 0.0), p.score)
-    out = soft_nms(props, sigma=0.3, top_k=8)
+    out = soft_nms(props, InferenceConfig(sigma=0.3, top_k=8))
     for p in out:
         key = (p.segment.start, p.segment.end)
         assert key in originals
@@ -183,13 +182,14 @@ def test_scores_never_increase_and_segments_are_subset():
 
 
 def test_score_floor_drops_proposals():
-    out = soft_nms([prop(0, 4, 0.9), prop(0, 4, 0.5)], sigma=0.1, score_floor=1e-2)
+    out = soft_nms([prop(0, 4, 0.9), prop(0, 4, 0.5)],
+                   InferenceConfig(sigma=0.1, score_floor=1e-2))
     assert len(out) == 1
 
 
 def test_top_k_limits_output():
     props = [prop(i * 10, i * 10 + 4, 0.5) for i in range(7)]
-    assert len(soft_nms(props, top_k=3)) == 3
+    assert len(soft_nms(props, InferenceConfig(top_k=3))) == 3
 
 
 def test_soft_nms_matches_step_by_step_simulation():
@@ -202,7 +202,8 @@ def test_soft_nms_matches_step_by_step_simulation():
         sigma = float(rng.uniform(0.2, 0.9))
         floor = 1e-3
         top_k = int(rng.integers(1, 7))
-        got = soft_nms([prop(*r) for r in rows], sigma=sigma, score_floor=floor, top_k=top_k)
+        got = soft_nms([prop(*r) for r in rows],
+                       InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k))
         want = brute_force_soft_nms(rows, sigma, floor, top_k)
         assert len(got) == len(want)
         for g, w in zip(got, want):

@@ -14,7 +14,6 @@ from avloc.losses import (
     frame_prob_loss,
     total_loss,
 )
-from avloc.model import FrameProbs
 
 RNG = np.random.default_rng(2024)
 CFG = LossConfig()
@@ -87,6 +86,19 @@ def test_contrastive_gradients_match_finite_differences():
 
         worst = max(worst, grad_check(f, _embeddings(seed=trial)[0], h=1e-5))
     assert worst <= 1e-4
+
+
+def test_contrastive_gradient_finite_for_identical_embeddings():
+    # d = 0 at every frame, where sqrt's derivative is unbounded: the zero
+    # subgradient keeps the gradient finite.
+    z = Tensor(np.array([0.0, 4.0]), requires_grad=True)
+    ad.tsum(ad.sqrt(z)).backward()
+    np.testing.assert_array_equal(z.grad, [0.0, 0.25])
+    f = RNG.normal(size=(4, 3))
+    x = Tensor(f.copy(), requires_grad=True)
+    y = FrameLabels(y=np.array([0.0, 1.0, 0.0, 1.0]))
+    contrastive_loss(x, Tensor(f), Tensor(f), Tensor(f), y, CFG).backward()
+    np.testing.assert_array_equal(x.grad, np.zeros_like(f))
 
 
 def test_contrastive_shape_mismatch():
@@ -209,31 +221,27 @@ def test_focal_gradients_through_sigmoid():
 
 # -- frame-probability loss -------------------------------------------------
 
-def _triplet_tensors(rng, t=8, direction="forward"):
-    return FrameProbs(
-        start=ad.sigmoid(Tensor(rng.normal(size=t))),
-        end=ad.sigmoid(Tensor(rng.normal(size=t))),
-        content=ad.sigmoid(Tensor(rng.normal(size=t))),
-        direction=direction,
-    )
+def _triplet_tensors(rng, t=8):
+    # [T, 3] columns start, end, content, drawn row-wise as [3, T].
+    return ad.sigmoid(Tensor(rng.normal(size=(3, t)).T))
 
 
-def _triplet_labels(rng, t=8, direction="forward"):
+def _triplet_labels(rng, t=8):
     return ProbTriplet(
         start=rng.uniform(0, 1, t), end=rng.uniform(0, 1, t),
-        content=rng.uniform(0, 1, t), direction=direction,
+        content=rng.uniform(0, 1, t),
     )
 
 
 def test_frame_prob_loss_is_sum_of_six_focal_terms():
     rng = np.random.default_rng(4)
-    pf, pb = _triplet_tensors(rng), _triplet_tensors(rng, direction="backward")
-    tf, tb = _triplet_labels(rng), _triplet_labels(rng, direction="backward")
+    pf, pb = _triplet_tensors(rng), _triplet_tensors(rng)
+    tf, tb = _triplet_labels(rng), _triplet_labels(rng)
     loss = frame_prob_loss(pf, pb, tf, tb, CFG)
     manual = sum(
-        focal_loss(getattr(pred, ch), getattr(true, ch), CFG).item()
+        focal_loss(Tensor(pred.data[:, k]), getattr(true, ch), CFG).item()
         for pred, true in ((pf, tf), (pb, tb))
-        for ch in ("start", "end", "content")
+        for k, ch in enumerate(("start", "end", "content"))
     )
     assert loss.item() == pytest.approx(manual, rel=1e-12)
 
@@ -241,30 +249,18 @@ def test_frame_prob_loss_is_sum_of_six_focal_terms():
 def test_frame_prob_loss_near_zero_for_easy_negatives():
     t = 8
     zeros = ProbTriplet(start=np.zeros(t), end=np.zeros(t), content=np.zeros(t))
-    tiny = FrameProbs(
-        start=Tensor(np.full(t, 1e-9)), end=Tensor(np.full(t, 1e-9)),
-        content=Tensor(np.full(t, 1e-9)),
-    )
+    tiny = Tensor(np.full((t, 3), 1e-9))
     assert frame_prob_loss(tiny, tiny, zeros, zeros, CFG).item() < 1e-12
 
 
 def test_frame_prob_loss_gradients():
     rng = np.random.default_rng(5)
-    tf, tb = _triplet_labels(rng), _triplet_labels(rng, direction="backward")
+    tf, tb = _triplet_labels(rng), _triplet_labels(rng)
     fixed = rng.normal(size=(5, 8))
 
     def f(x):
-        pf = FrameProbs(
-            start=ad.sigmoid(ad.reshape(ad.slice_axis(x, 0, 0, 1), (8,))),
-            end=ad.sigmoid(ad.reshape(ad.slice_axis(x, 0, 1, 2), (8,))),
-            content=ad.sigmoid(ad.reshape(ad.slice_axis(x, 0, 2, 3), (8,))),
-        )
-        pb = FrameProbs(
-            start=ad.sigmoid(Tensor(fixed[0])),
-            end=ad.sigmoid(Tensor(fixed[1])),
-            content=ad.sigmoid(Tensor(fixed[2])),
-            direction="backward",
-        )
+        pf = ad.sigmoid(ad.transpose(x))
+        pb = ad.sigmoid(Tensor(fixed[:3].T))
         return frame_prob_loss(pf, pb, tf, tb, CFG)
 
     assert grad_check(f, Tensor(rng.normal(size=(3, 8))), h=1e-5) <= 1e-4

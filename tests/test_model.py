@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,9 +139,8 @@ def test_frame_head_shapes_and_zero_head():
     model = Model(TINY, seed=0)
     model.params["frame_head.out_w"].data[:] = 0.0
     probs = model.frame_prob_head(model.encode_and_fuse(tiny_stream()).fused)
-    for seq in (probs.start, probs.end, probs.content):
-        assert seq.shape == (TINY.num_frames,)
-        np.testing.assert_allclose(seq.data, 0.5)
+    assert probs.shape == (TINY.num_frames, 3)
+    np.testing.assert_allclose(probs.data, 0.5)
 
 
 def test_frame_head_gradient_matches_finite_differences():
@@ -153,12 +154,7 @@ def test_frame_head_gradient_matches_finite_differences():
             saved = param.data
             param.data = t.data
             try:
-                probs = model.frame_prob_head(model.encode_and_fuse(stream).fused)
-                return ad.mean(ad.concat([
-                    ad.reshape(probs.start, (16, 1)),
-                    ad.reshape(probs.end, (16, 1)),
-                    ad.reshape(probs.content, (16, 1)),
-                ], axis=1))
+                return ad.mean(model.frame_prob_head(model.encode_and_fuse(stream).fused))
             finally:
                 param.data = saved
 
@@ -166,12 +162,7 @@ def test_frame_head_gradient_matches_finite_differences():
         leaf = Tensor(param.data.copy(), requires_grad=True)
         saved = param.data
         model.params[name] = leaf
-        probs = model.frame_prob_head(model.encode_and_fuse(stream).fused)
-        loss = ad.mean(ad.concat([
-            ad.reshape(probs.start, (16, 1)),
-            ad.reshape(probs.end, (16, 1)),
-            ad.reshape(probs.content, (16, 1)),
-        ], axis=1))
+        loss = ad.mean(model.frame_prob_head(model.encode_and_fuse(stream).fused))
         loss.backward()
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         model.params[name] = param
@@ -201,14 +192,13 @@ def test_forward_full_deterministic():
     a = model.forward_full(stream)
     b = model.forward_full(stream)
     assert np.array_equal(a.boundary_map.data, b.boundary_map.data)
-    assert np.array_equal(a.probs_bwd.content.data, b.probs_bwd.content.data)
+    assert np.array_equal(a.probs_bwd.data, b.probs_bwd.data)
 
 
 def test_forward_full_outputs_in_unit_interval():
     model = Model(TINY, seed=0)
     out = model.forward_full(tiny_stream(seed=5))
-    for t in (out.frame_probs, out.boundary_map, out.probs_fwd.start,
-              out.probs_bwd.end, out.probs_fwd.content):
+    for t in (out.frame_probs, out.boundary_map, out.probs_fwd, out.probs_bwd):
         assert np.all(t.data > 0.0) and np.all(t.data < 1.0)
 
 
@@ -221,9 +211,7 @@ def test_palindromic_input_gives_identical_directions():
     out = model.forward_full(FeatureStream(audio=audio, visual=visual))
     # Reversing a palindromic stream is a no-op, so the raw backward pass
     # must equal the raw forward pass bit for bit.
-    np.testing.assert_array_equal(out.probs_bwd.start.data, out.probs_fwd.start.data)
-    np.testing.assert_array_equal(out.probs_bwd.end.data, out.probs_fwd.end.data)
-    np.testing.assert_array_equal(out.probs_bwd.content.data, out.probs_fwd.content.data)
+    np.testing.assert_array_equal(out.probs_bwd.data, out.probs_fwd.data)
 
 
 def test_wrong_frame_count_rejected():
@@ -266,4 +254,36 @@ def test_checkpoint_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 40])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path, TINY)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Model(TINY, seed=0))
+    return path, path.read_bytes()
+
+
+def test_checkpoint_rejects_short_last_tensor(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    path.write_bytes(data[:-8])
+    # The last tensor in name order is map_head.sample_w, N float64 values.
+    start = len(data) - 8 * TINY.num_samples
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated at byte {start}")):
+        load_checkpoint(path, TINY)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    path.write_bytes(data + b"\0\0\0")
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: 3 trailing bytes at byte {len(data)}")):
+        load_checkpoint(path, TINY)
+
+
+def test_checkpoint_rejects_non_utf8_name(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    name_at = 14  # 12-byte header, then a 2-byte name length
+    path.write_bytes(data[:name_at] + b"\xff" + data[name_at + 1:])
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: parameter name is not UTF-8 at byte {name_at}")):
         load_checkpoint(path, TINY)
