@@ -401,6 +401,40 @@ def weighted_sum(stack: Tensor, weights: Tensor) -> Tensor:
     return _op(data, [(stack, vjp_stack), (weights, vjp_weights)])
 
 
+def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
+    """Apply an offset kernel at every start: [L, L] x [T, D] -> [L, T, D].
+
+    out[i, j] = sum_k kernel[i, k] * x[j + k] where j + i < T, and 0 where
+    j + i >= T; rows of x past the last frame read as zero. This is the
+    dense [L*T, T] matrix with entries kernel[i, s - j], applied without
+    building it: one [L, L] @ [L, T*D] matmul over a sliding-window view.
+    """
+    if kernel.data.ndim != 2 or x.data.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise ShapeError(
+            f"banded_matmul: expected [L,L] and [T,D], got {kernel.shape} and {x.shape}"
+        )
+    l = kernel.data.shape[0]
+    t, d = x.data.shape
+    xp = np.pad(x.data, ((0, l - 1), (0, 0)))
+    # windows[k, j * D + c] = x[j + k, c]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, l, axis=0)
+    windows = windows.transpose(2, 0, 1).reshape(l, t * d)
+    in_range = (np.arange(l)[:, None] + np.arange(t) < t)[:, :, None]  # [L, T, 1]
+    data = np.where(in_range, (kernel.data @ windows).reshape(l, t, d), 0.0)
+
+    def vjp_kernel(g: Array) -> Array:
+        return np.where(in_range, g, 0.0).reshape(l, t * d) @ windows.T
+
+    def vjp_x(g: Array) -> Array:
+        gw = (kernel.data.T @ np.where(in_range, g, 0.0).reshape(l, t * d)).reshape(l, t, d)
+        gp = np.zeros_like(xp)
+        for k in range(l):
+            gp[k:k + t] += gw[k]
+        return gp[:t]
+
+    return _op(data, [(kernel, vjp_kernel), (x, vjp_x)])
+
+
 def central_differences(f: Callable[[], Array], x: Array, h: float = 1e-5) -> Array:
     """Numeric Jacobian of a vector-valued f() with respect to the array x.
 

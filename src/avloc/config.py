@@ -49,9 +49,15 @@ class RunConfig:
                 )
 
 
+# JSON values accepted for numeric dataclass fields. Python's bool is an int,
+# so JSON true/false is rejected separately.
+_NUMERIC_FIELDS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
 def _field_values(prefix: str, cls, obj: dict, renames: dict[str, str] | None = None) -> dict:
-    """Map JSON keys onto fields of dataclass `cls`, rejecting unknown names and
-    anything but a JSON integer (a bool included) for an `int` field."""
+    """Map JSON keys onto fields of dataclass `cls`, rejecting unknown names,
+    anything but a JSON integer for an `int` field and anything but a JSON
+    number for a `float` field (bools included in both)."""
     renames = renames or {}
     types = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
@@ -60,8 +66,10 @@ def _field_values(prefix: str, cls, obj: dict, renames: dict[str, str] | None = 
         name = renames.get(key, key)
         if name not in known:
             raise ConfigError(f"{prefix}{key}: unknown field")
-        if types[name] is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{prefix}{key}: expected an integer, got {value!r}")
+        if types[name] in _NUMERIC_FIELDS:
+            accepted, expected = _NUMERIC_FIELDS[types[name]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{prefix}{key}: expected {expected}, got {value!r}")
         kwargs[name] = value
     return kwargs
 

@@ -302,22 +302,39 @@ def load_annotations(path: Path) -> list[StreamAnnotation]:
 
 def load_dataset(path: Path) -> list[Clip]:
     path = Path(path)
+    manifest_path = path / "manifest.json"
     try:
-        with open(path / "manifest.json") as fh:
+        with open(manifest_path) as fh:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path / 'manifest.json'}: invalid JSON at byte {exc.pos}") from exc
+        raise DatasetFormatError(f"{manifest_path}: invalid JSON at byte {exc.pos}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("version") != FEATURE_VERSION:
         raise DatasetFormatError(
             f"{path}: manifest version {manifest.get('version')!r}, expected {FEATURE_VERSION}"
         )
+    entries = manifest.get("clips")
+    if not isinstance(entries, list):
+        raise DatasetFormatError(f"{manifest_path}: 'clips' must be a JSON array")
     anns = {a.id: a for a in load_annotations(path / "annotations.json")}
+    root = path.resolve()
     clips = []
-    for entry in manifest["clips"]:
-        clip_id = entry["id"]
+    for k, entry in enumerate(entries):
+        where = f"{manifest_path}: clips[{k}]"
+        if not isinstance(entry, dict):
+            raise DatasetFormatError(f"{where}: expected a JSON object, got {entry!r}")
+        clip_id, rel = entry.get("id"), entry.get("path")
+        if not isinstance(clip_id, str):
+            raise DatasetFormatError(f"{where}: 'id' must be a string, got {clip_id!r}")
+        if not isinstance(rel, str):
+            raise DatasetFormatError(f"{where}: 'path' must be a string, got {rel!r}")
+        feature_path = path / rel
+        if not feature_path.resolve().is_relative_to(root):
+            raise DatasetFormatError(f"{where}: path {rel!r} resolves outside {path}")
         if clip_id not in anns:
             raise DatasetFormatError(f"{path}: clip {clip_id!r} missing from annotations.json")
-        stream = read_feature_file(path / entry["path"])
+        stream = read_feature_file(feature_path)
         ann = anns[clip_id]
         if stream.num_frames != ann.num_frames:
             raise DatasetFormatError(

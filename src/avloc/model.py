@@ -4,9 +4,10 @@ Per-modality conv encoders, audio<->visual cross-attention, linear fusion
 with a frame classifier, then two heads on the fused per-frame features:
 
 * a boundary-map head that softly samples every candidate segment
-  (start j, duration i+1) with a fixed interpolation mask, collapses the
+  (start j, duration i+1) with a fixed interpolation kernel, collapses the
   sample axis with learned weights, and scores the [L, T] grid with a small
-  2-d conv stack;
+  2-d conv stack. The kernel is indexed by offset from the start, [N, L, L],
+  so its size does not grow with T;
 * a frame-probability head, a 2-level U-Net over time producing a [T, 3]
   tensor of per-frame probabilities, columns start / end / content.
 
@@ -66,49 +67,41 @@ class ModelConfig:
 class BMSamplingMask:
     """Interpolation weights that soft-sample per-frame features per candidate.
 
-    Stored as [N, L, T, T_src]; `weights` exposes the conventional
-    (N, T_src, L, T_start) layout as a view. For an in-range candidate
-    (i, j), sample point n sits at j + n * i / (N - 1) and splits its unit
-    weight linearly between the two neighbouring frames. Out-of-range
-    candidates are all-zero.
+    kernel[n, i, k] is the weight that sample point n of a candidate with
+    duration index i (i + 1 frames) puts on the frame k frames after the
+    candidate's start. Sample point n sits at offset n * i / (N - 1) and
+    splits its unit weight linearly between the two neighbouring frames, so
+    the weights depend on the offset alone, never on the start, and
+    k <= i. Candidates that run past the last frame are masked where the
+    kernel is applied (`autodiff.banded_matmul`).
     """
 
-    array: np.ndarray  # [N, L, T, T_src]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.array.transpose(0, 3, 1, 2)
-
-    def stacked(self) -> np.ndarray:
-        n, l, t, t_src = self.array.shape
-        return self.array.reshape(n, l * t, t_src)
+    kernel: np.ndarray  # [N, L, L]
 
 
 def build_sampling_mask(max_duration: int, num_frames: int, num_samples: int) -> BMSamplingMask:
     if num_samples < 2:
         raise ValueError(f"num_samples must be >= 2, got {num_samples}")
-    l, t, n = max_duration, num_frames, num_samples
-    arr = np.zeros((n, l, t, t))
+    if not 1 <= max_duration <= num_frames:
+        raise ValueError(f"max_duration must be in [1, {num_frames}], got {max_duration}")
+    l, n = max_duration, num_samples
+    kernel = np.zeros((n, l, l))
     for i in range(l):
-        num_valid = t - i  # starts j with j + i + 1 <= t
-        if num_valid <= 0:
-            continue
-        j = np.arange(num_valid)
         # Offsets within [0, duration-1]; clamp and snap to kill float drift
         # so integer sample positions stay exactly one-hot.
         rel = np.minimum(np.arange(n) * i / (n - 1), float(i))
-        for k in range(n):
-            base = int(np.floor(rel[k]))
-            frac = rel[k] - base
+        for m in range(n):
+            base = int(np.floor(rel[m]))
+            frac = rel[m] - base
             if frac < 1e-9:
                 frac = 0.0
             elif frac > 1.0 - 1e-9:
                 base += 1
                 frac = 0.0
-            arr[k, i, j, j + base] += 1.0 - frac
+            kernel[m, i, base] += 1.0 - frac
             if frac > 0.0:
-                arr[k, i, j, j + base + 1] += frac
-    return BMSamplingMask(array=arr)
+                kernel[m, i, base + 1] += frac
+    return BMSamplingMask(kernel=kernel)
 
 
 # Parameter table: name -> shape builder. Order is fixed so that seeded
@@ -225,7 +218,6 @@ class Model:
                     f"config requires {shape}"
                 )
         self.mask = build_sampling_mask(cfg.max_duration, cfg.num_frames, cfg.num_samples)
-        self._mask_stack = Tensor(self.mask.stacked())
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -257,10 +249,9 @@ class Model:
         cfg = self.cfg
         p = self.params
         # Collapsing the sample axis with learned weights commutes with the
-        # (constant) sampling matmul, so fold the weights into the mask first.
-        combined = ad.weighted_sum(self._mask_stack, p["map_head.sample_w"])  # [L*T, T]
-        sampled = ad.matmul(combined, fused)  # [L*T, C+1]
-        grid = ad.reshape(sampled, (cfg.max_duration, cfg.num_frames, cfg.fused_channels))
+        # (constant) sampling, so fold the weights into the kernel first.
+        kernel = ad.weighted_sum(Tensor(self.mask.kernel), p["map_head.sample_w"])  # [L, L]
+        grid = ad.banded_matmul(kernel, fused)  # [L, T, C+1]
         hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
         flat = ad.reshape(hidden, (cfg.max_duration * cfg.num_frames, cfg.channels))
         out = ad.sigmoid(ad.add(ad.matmul(flat, p["map_head.out_w"]), p["map_head.out_b"]))

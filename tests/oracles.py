@@ -96,6 +96,34 @@ def brute_force_triplet(
     return start, end, content
 
 
+def brute_force_sampling_mask(max_duration: int, num_frames: int, num_samples: int) -> np.ndarray:
+    """Dense [N, L, T_start, T_src] boundary-matching sampling weights, per candidate.
+
+    Sample point n of candidate (duration index i, start j) sits at offset
+    n * i / (N - 1) from frame j, clamped to i; offsets within 1e-9 of an
+    integer snap to it. The unit weight splits linearly between the two
+    neighbouring frames. Candidates past the last frame stay all-zero.
+    """
+    n_total, l_total, t_total = num_samples, max_duration, num_frames
+    out = np.zeros((n_total, l_total, t_total, t_total))
+    for i in range(l_total):
+        for j in range(t_total):
+            if j + i + 1 > t_total:
+                continue
+            for n in range(n_total):
+                offset = min(n * i / (n_total - 1), float(i))
+                lo = math.floor(offset)
+                frac = offset - lo
+                if frac < 1e-9:
+                    frac = 0.0
+                elif frac > 1.0 - 1e-9:
+                    lo, frac = lo + 1, 0.0
+                out[n, i, j, j + lo] += 1.0 - frac
+                if frac > 0.0:
+                    out[n, i, j, j + lo + 1] += frac
+    return out
+
+
 def brute_force_scores(boundary_map: np.ndarray, start, end, content) -> dict[tuple[int, int], float]:
     """Candidate scores via the literal per-proposal formula."""
     max_duration, t_total = boundary_map.shape

@@ -79,12 +79,14 @@ def test_forward_bit_identical():
     ("mul", ((3, 4), (3, 4))),
     ("matmul", ((3, 4), (4, 2))),
     ("concat", ((3, 2), (3, 3))),
+    ("banded_matmul", ((3, 3), (5, 2))),
 ])
 def test_shape_errors_name_op_and_shapes(op, shapes):
     bad = Tensor(rand(2, 7))
     good = Tensor(rand(*shapes[1]))
     fn = {"add": ad.add, "mul": ad.mul, "matmul": ad.matmul,
-          "concat": lambda a, b: ad.concat([a, b], axis=0)}[op]
+          "concat": lambda a, b: ad.concat([a, b], axis=0),
+          "banded_matmul": ad.banded_matmul}[op]
     with pytest.raises(ShapeError) as err:
         fn(bad, good)
     assert op in str(err.value)
@@ -119,6 +121,19 @@ def test_weighted_sum_matches_manual():
     w = rand(5)
     out = ad.weighted_sum(Tensor(stack), Tensor(w))
     np.testing.assert_allclose(out.data, np.tensordot(w, stack, axes=(0, 0)))
+
+
+@pytest.mark.parametrize("l,t", [(3, 5), (4, 4)])
+def test_banded_matmul_matches_dense_band(l, t):
+    kernel, x = rand(l, l), rand(t, 2)
+    dense = np.zeros((l, t, t))  # dense[i, j, s] = kernel[i, s - j] for in-range (i, j)
+    for i in range(l):
+        for j in range(t - i):
+            for k in range(l):
+                if j + k < t:
+                    dense[i, j, j + k] = kernel[i, k]
+    out = ad.banded_matmul(Tensor(kernel), Tensor(x))
+    np.testing.assert_allclose(out.data, dense @ x, rtol=0, atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():
@@ -168,6 +183,10 @@ OP_CASES = {
     "pow_const": lambda: ((lambda x: _sq_mean(ad.pow_const(_positive(x), 1.7))), (4, 4)),
     "weighted_sum_stack": lambda: ((lambda x, c=Tensor(rand(5)): _sq_mean(ad.weighted_sum(x, c))), (5, 3, 2)),
     "weighted_sum_weights": lambda: ((lambda w, c=Tensor(rand(5, 3, 2)): _sq_mean(ad.weighted_sum(c, w))), (5,)),
+    "banded_matmul_kernel": lambda: ((lambda k, c=Tensor(rand(5, 2)): _sq_mean(ad.banded_matmul(k, c))), (3, 3)),
+    "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
+    "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (4, 4)),
+    "banded_matmul_x_square": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
 }
 
 

@@ -83,6 +83,16 @@ def test_non_integer_config_field_exits_1(dataset, tmp_path, capsys, bad):
     assert "expected an integer" in capsys.readouterr().err
 
 
+def test_boolean_float_config_field_exits_1(dataset, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, optim=dict(TINY_CONFIG["optim"],
+                                                            learning_rate=True))))
+    assert main(["train", "--config", str(path), "--data", str(dataset),
+                 "--out", str(tmp_path / "model.ckpt")]) == 1
+    assert "optim.learning_rate: expected a number" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_usage_error_exits_1():
     assert main(["synth"]) == 1          # missing --out
     assert main(["no-such-command"]) == 1
@@ -148,6 +158,15 @@ def test_infer_rejects_mismatched_checkpoint(dataset, config_path, tmp_path):
     other_path.write_text(json.dumps(other))
     assert main(["infer", "--config", str(other_path), "--checkpoint", str(ckpt),
                  "--data", str(dataset / "test"), "--out", str(tmp_path / "p.json")]) == 2
+
+
+def test_malformed_manifest_exits_2_without_traceback(dataset, config_path, tmp_path, capsys):
+    manifest = dataset / "train" / "manifest.json"
+    manifest.write_text(json.dumps({"version": json.loads(manifest.read_text())["version"]}))
+    assert main(["train", "--config", config_path, "--data", str(dataset),
+                 "--out", str(tmp_path / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "Traceback" not in err
 
 
 def test_eval_rejects_malformed_predictions(dataset, tmp_path):

@@ -74,3 +74,19 @@ def test_integer_fields_reject_bools_and_fractions(raw, field):
 def test_synth_section_must_be_an_object():
     with pytest.raises(ConfigError, match="synth: expected a JSON object"):
         run_config_from_dict({"synth": 5})
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"optim": {"learning_rate": True}}, "optim.learning_rate"),
+    ({"loss": {"alpha": False}}, "loss.alpha"),
+    ({"infer": {"sigma": True}}, "infer.sigma"),
+    ({"synth": {"noise": "0.5"}}, "synth.noise"),
+])
+def test_float_fields_reject_bools_and_non_numbers(raw, field):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected a number"):
+        run_config_from_dict(raw)
+
+
+def test_float_fields_accept_integers():
+    cfg = run_config_from_dict({"optim": {"learning_rate": 1}, "infer": {"sigma": 2}})
+    assert cfg.optim.learning_rate == 1 and cfg.infer.sigma == 2

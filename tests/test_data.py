@@ -188,3 +188,38 @@ def test_malformed_annotations_json_is_parse_error(tmp_path):
     (tmp_path / "d" / "annotations.json").write_text('[{"id": "x", ')
     with pytest.raises(DatasetFormatError, match="byte"):
         load_dataset(tmp_path / "d")
+
+
+MANIFEST_FAULTS = {
+    "array_manifest": (lambda m, ids: m["clips"], "expected a JSON object"),
+    "no_clips": (lambda m, ids: {"version": m["version"]}, "'clips' must be a JSON array"),
+    "clips_not_list": (lambda m, ids: dict(m, clips={"id": ids[0]}),
+                       "'clips' must be a JSON array"),
+    "entry_not_object": (lambda m, ids: dict(m, clips=["features/x.bin"]),
+                         r"clips\[0\]: expected a JSON object"),
+    "no_id": (lambda m, ids: dict(m, clips=[{"path": f"features/{ids[0]}.bin"}]),
+              r"clips\[0\]: 'id' must be a string"),
+    "no_path": (lambda m, ids: dict(m, clips=[{"id": ids[0]}]),
+                r"clips\[0\]: 'path' must be a string"),
+    "path_not_string": (lambda m, ids: dict(m, clips=[{"id": ids[0], "path": 3}]),
+                        r"clips\[0\]: 'path' must be a string"),
+    "path_escapes_split": (lambda m, ids: dict(m, clips=[{"id": ids[0], "path": "../outside.bin"}]),
+                           r"clips\[0\]: path '\.\./outside\.bin' resolves outside"),
+    "absolute_path": (lambda m, ids: dict(m, clips=[{"id": ids[0], "path": "/etc/hostname"}]),
+                      r"clips\[0\]: path '/etc/hostname' resolves outside"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_malformed_manifest_names_the_file(tmp_path, fault):
+    mutate, message = MANIFEST_FAULTS[fault]
+    clips = generate_dataset(SMALL, seed=2)
+    save_dataset(tmp_path / "d", clips)
+    ids = [ann.id for _, ann in clips]
+    # A valid feature file just outside the split: only the path check stops it.
+    (tmp_path / "outside.bin").write_bytes((tmp_path / "d" / f"features/{ids[0]}.bin").read_bytes())
+    manifest = tmp_path / "d" / "manifest.json"
+    manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()), ids)))
+    with pytest.raises(DatasetFormatError, match=message) as err:
+        load_dataset(tmp_path / "d")
+    assert str(manifest) in str(err.value)

@@ -16,6 +16,7 @@ from avloc.model import (
     parameter_count,
     save_checkpoint,
 )
+from oracles import brute_force_sampling_mask
 
 TINY = ModelConfig(num_frames=16, d_audio=4, d_visual=4, channels=4,
                    max_duration=4, num_samples=4)
@@ -62,35 +63,42 @@ def test_init_is_deterministic_and_bounded():
 # -- sampling mask ----------------------------------------------------------
 
 def test_mask_rows_sum_to_one_in_range():
-    mask = build_sampling_mask(4, 12, 5)
+    kernel = build_sampling_mask(4, 12, 5).kernel  # [N, L, L]
+    np.testing.assert_allclose(kernel.sum(axis=2), 1.0, atol=1e-12)
+    assert np.all(kernel >= 0.0)
+    # Offsets past the candidate's last frame carry no weight.
+    assert np.all(np.triu(kernel, k=1) == 0.0)
+    # Applied at every start, in-range rows still sum to one and
+    # candidates past the last frame are all-zero.
+    grid = ad.banded_matmul(Tensor(kernel[2]), Tensor(np.ones((12, 1)))).data[:, :, 0]
     valid = in_range_mask(4, 12)
-    sums = mask.array.sum(axis=3)  # [N, L, T]
-    for n in range(5):
-        np.testing.assert_allclose(sums[n][valid], 1.0, atol=1e-12)
-        assert np.all(sums[n][~valid] == 0.0)
-    assert np.all(mask.array >= 0.0)
+    np.testing.assert_allclose(grid[valid], 1.0, atol=1e-12)
+    assert np.all(grid[~valid] == 0.0)
 
 
 def test_mask_duration_one_is_point_sample():
-    mask = build_sampling_mask(3, 8, 4)
+    kernel = build_sampling_mask(3, 8, 4).kernel
     for n in range(4):
-        for j in range(8):
-            row = mask.array[n, 0, j]
-            assert row[j] == 1.0 and row.sum() == 1.0
+        row = kernel[n, 0]
+        assert row[0] == 1.0 and row.sum() == 1.0
 
 
 def test_mask_two_samples_hit_span_endpoints():
-    # Candidate [2, 6): duration index 3, samples at frames 2.0 and 5.0.
-    mask = build_sampling_mask(4, 8, 2)
-    first, last = mask.array[0, 3, 2], mask.array[1, 3, 2]
-    assert first[2] == 1.0 and first.sum() == 1.0
-    assert last[5] == 1.0 and last.sum() == 1.0
+    # Duration index 3 spans offsets 0..3: samples at offsets 0.0 and 3.0.
+    kernel = build_sampling_mask(4, 8, 2).kernel
+    first, last = kernel[0, 3], kernel[1, 3]
+    assert first[0] == 1.0 and first.sum() == 1.0
+    assert last[3] == 1.0 and last.sum() == 1.0
 
 
-def test_mask_conventional_layout_view():
-    mask = build_sampling_mask(3, 6, 4)
-    assert mask.weights.shape == (4, 6, 3, 6)  # (N, T_src, L, T_start)
-    assert mask.weights[1, :, 2, 1].sum() == pytest.approx(1.0)
+def test_mask_matches_dense_oracle():
+    for l, t, n in [(3, 6, 4), (4, 12, 5), (12, 64, 4), (40, 128, 16)]:
+        kernel = build_sampling_mask(l, t, n).kernel
+        dense = np.zeros((n, l, t, t))  # dense[n, i, j, j + k] = kernel[n, i, k]
+        for i in range(l):
+            for j in range(t - i):
+                dense[:, i, j, j:j + l] = kernel[:, i, : t - j]
+        assert np.array_equal(dense, brute_force_sampling_mask(l, t, n)), (l, t, n)
 
 
 # -- encoder / fusion -------------------------------------------------------
@@ -135,6 +143,49 @@ def test_map_head_shape_and_zero_projection():
     np.testing.assert_allclose(bmap.data, 0.5)
 
 
+SMALL = ModelConfig(num_frames=64, d_audio=8, d_visual=8, channels=8,
+                    max_duration=12, num_samples=4)  # criterion 8's model
+
+
+def _dense_boundary_map_head(model, fused):
+    """The boundary-map head with sampling as one dense [L*T, T] matmul."""
+    cfg, p = model.cfg, model.params
+    l, t, n = cfg.max_duration, cfg.num_frames, cfg.num_samples
+    dense = brute_force_sampling_mask(l, t, n).reshape(n, l * t, t)
+    combined = ad.weighted_sum(Tensor(dense), p["map_head.sample_w"])
+    grid = ad.reshape(ad.matmul(combined, fused), (l, t, cfg.fused_channels))
+    hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
+    flat = ad.reshape(hidden, (l * t, cfg.channels))
+    out = ad.sigmoid(ad.add(ad.matmul(flat, p["map_head.out_w"]), p["map_head.out_b"]))
+    return ad.reshape(out, (l, t))
+
+
+@pytest.mark.parametrize("cfg", [TINY, SMALL], ids=["tiny", "small"])
+def test_map_head_matches_dense_mask_oracle(cfg):
+    model = Model(cfg, seed=1)
+    rng = np.random.default_rng(3)
+    fused_data = rng.normal(size=(cfg.num_frames, cfg.fused_channels))
+    results = []
+    for head in (model.boundary_map_head, lambda x: _dense_boundary_map_head(model, x)):
+        model.zero_grad()
+        fused = Tensor(fused_data, requires_grad=True)
+        out = head(fused)
+        ad.mean(ad.mul(out, out)).backward()
+        results.append((out.data, fused.grad, model.params["map_head.sample_w"].grad))
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_full_scale_config_builds_and_runs():
+    cfg = ModelConfig(num_frames=512, max_duration=60, num_samples=16)
+    model = Model(cfg, seed=0)
+    assert model.mask.kernel.nbytes == 460_800
+    fused = Tensor(np.random.default_rng(0).normal(size=(512, cfg.fused_channels)))
+    bmap = model.boundary_map_head(fused)
+    assert bmap.shape == (60, 512)
+    assert np.all(np.isfinite(bmap.data))
+
+
 def test_frame_head_shapes_and_zero_head():
     model = Model(TINY, seed=0)
     model.params["frame_head.out_w"].data[:] = 0.0
@@ -146,41 +197,18 @@ def test_frame_head_shapes_and_zero_head():
 def test_frame_head_gradient_matches_finite_differences():
     model = Model(TINY, seed=1)
     stream = tiny_stream(seed=2)
+
+    def loss():
+        return ad.mean(model.frame_prob_head(model.encode_and_fuse(stream).fused))
+
     for name in ("frame_head.enc1_w", "frame_head.enc2_w", "frame_head.dec1_w",
                  "frame_head.out_w", "enc_audio.w"):
         param = model.params[name]
-
-        def f(t, name=name, param=param):
-            saved = param.data
-            param.data = t.data
-            try:
-                return ad.mean(model.frame_prob_head(model.encode_and_fuse(stream).fused))
-            finally:
-                param.data = saved
-
-        # Gradient w.r.t. the parameter, via a fresh leaf substituted in place.
-        leaf = Tensor(param.data.copy(), requires_grad=True)
-        saved = param.data
-        model.params[name] = leaf
-        loss = ad.mean(model.frame_prob_head(model.encode_and_fuse(stream).fused))
-        loss.backward()
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        model.params[name] = param
-        param.data = saved
-
-        flat = param.data.copy().ravel()
-        h = 1e-5
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f(Tensor(flat.reshape(param.data.shape))).item()
-            flat[i] = orig - h
-            fm = f(Tensor(flat.reshape(param.data.shape))).item()
-            flat[i] = orig
-            numeric = (fp - fm) / (2 * h)
-            a = analytic.ravel()[i]
-            worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
+        model.zero_grad()
+        loss().backward()
+        analytic = param.grad.ravel()
+        numeric = ad.central_differences(lambda: loss().data.reshape(1), param.data, h=1e-5)
+        worst = np.max(np.abs(analytic - numeric.ravel()) / np.maximum(1.0, np.abs(analytic)))
         assert worst <= 1e-4, f"{name}: {worst:.3e}"
 
 
