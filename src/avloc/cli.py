@@ -16,9 +16,11 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, load_run_config, run_config_to_dict
 from .data import (
     DatasetFormatError,
+    finite_float,
     generate_dataset,
     load_annotations,
     load_dataset,
+    read_json,
     save_dataset,
 )
 from .evaluate import evaluate
@@ -115,12 +117,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        with open(args.pred) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{args.pred}: invalid JSON at byte {exc.pos}") from exc
-    preds = dict(predictions_from_json(obj) for obj in raw)
+    preds = predictions_from_json(read_json(Path(args.pred)), args.pred)
     anns = load_annotations(Path(args.data) / "annotations.json")
     gts = ground_truth_segments(anns)
     for clip_id in gts:
@@ -179,6 +176,24 @@ def _read_loss_csv(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _read_report(path: Path) -> list[tuple[str, str, str]]:
+    """(report, metric, value) rows from an eval report's "ap" and "ar" objects."""
+    report = read_json(path)
+    if not isinstance(report, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object")
+    rows = []
+    for section in ("ap", "ar"):
+        values = report.get(section, {})
+        if not isinstance(values, dict):
+            raise DatasetFormatError(f"{path}: {section!r} must be a JSON object")
+        for key, v in values.items():
+            if any(c in key for c in ',"\r\n'):
+                raise DatasetFormatError(f"{path}: {section} key {key!r} is not a CSV field")
+            finite_float(v, f"{path}: {section}[{key!r}]")  # check only: an int stays "1"
+            rows.append((path.stem, f"{section}_{key}", repr(v)))
+    return rows
+
+
 def cmd_plotdata(args) -> int:
     out_rows: list[tuple[str, str, str]] = []
     if args.loss_csv:
@@ -186,16 +201,7 @@ def cmd_plotdata(args) -> int:
         header = "step,metric,value"
     else:
         for path in args.reports:
-            with open(path) as fh:
-                try:
-                    report = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise DatasetFormatError(f"{path}: invalid JSON at byte {exc.pos}") from exc
-            name = Path(path).stem
-            for tau, v in report.get("ap", {}).items():
-                out_rows.append((name, f"ap_{tau}", repr(v)))
-            for n, v in report.get("ar", {}).items():
-                out_rows.append((name, f"ar_{n}", repr(v)))
+            out_rows += _read_report(Path(path))
         header = "report,metric,value"
     with open(args.out, "w") as fh:
         fh.write(header + "\n")

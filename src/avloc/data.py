@@ -9,6 +9,7 @@ deterministic given (config, seed) with an independent RNG stream per clip.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,26 @@ FEATURE_VERSION = 1
 
 class DatasetFormatError(ValueError):
     """A dataset file is malformed, truncated, or has the wrong version."""
+
+
+def read_json(path: Path):
+    """Parse a JSON file; a syntax error is a DatasetFormatError with its byte offset."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON at byte {exc.pos}") from exc
+
+
+def finite_float(value, where: str) -> float:
+    """`value` as a float if it is a finite JSON number; else DatasetFormatError."""
+    if type(value) in (int, float):  # not bool, a subclass of int
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise DatasetFormatError(f"{where}: expected a finite number, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -40,6 +61,13 @@ class Segment:
 
     def to_list(self) -> list[int]:
         return [self.start, self.end]
+
+
+def interval_iou(starts, ends, start, end) -> np.ndarray:
+    """IoU of non-empty intervals [starts, ends) and [start, end), broadcast like numpy."""
+    inter = np.clip(np.minimum(ends, end) - np.maximum(starts, start), 0, None)
+    union = (ends - starts) + (end - start) - inter
+    return inter / union
 
 
 @dataclass
@@ -290,11 +318,7 @@ def save_dataset(path: Path, clips: list[Clip]) -> None:
 
 
 def load_annotations(path: Path) -> list[StreamAnnotation]:
-    try:
-        with open(Path(path)) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON at byte {exc.pos}") from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise DatasetFormatError(f"{path}: expected a JSON array of annotations")
     return [annotation_from_dict(obj) for obj in raw]
@@ -303,11 +327,7 @@ def load_annotations(path: Path) -> list[StreamAnnotation]:
 def load_dataset(path: Path) -> list[Clip]:
     path = Path(path)
     manifest_path = path / "manifest.json"
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{manifest_path}: invalid JSON at byte {exc.pos}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise DatasetFormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("version") != FEATURE_VERSION:

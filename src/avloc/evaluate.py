@@ -1,10 +1,14 @@
 """Detection metrics over temporal segment predictions.
 
-Average precision pools predictions across clips, greedily matches each
-prediction (in score order) to the best still-unmatched ground-truth
-segment of its clip with IoU >= tau, and integrates the all-point
-interpolated precision-recall curve. Average recall truncates each clip to
-a fixed proposal budget and averages recall over IoU thresholds
+Each clip's predictions are sorted once by (-score, start, end) and matched
+against its ground-truth segments through one [P, G] IoU matrix: per IoU
+threshold tau, one greedy pass lets each prediction in turn take the best
+still-unmatched segment with IoU >= tau, and records a TP flag per
+prediction. Average precision pools the flags across clips in
+(-score, clip id, start, end) order and integrates the all-point
+interpolated precision-recall curve. Greedy matching is online, so recall
+at a proposal budget b counts the flags of each clip's first b
+predictions; average recall averages it over IoU thresholds
 0.50, 0.55, ..., 0.95.
 """
 
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .data import Segment
+import numpy as np
+
+from .data import Segment, interval_iou
 from .inference import ScoredProposal
 
 AP_TAUS = (0.5, 0.75, 0.95)
@@ -46,97 +52,94 @@ class EvalReport:
         return header, values
 
 
-def segment_iou(a: Segment, b: Segment) -> float:
-    inter = max(0, min(a.end, b.end) - max(a.start, b.start))
-    union = a.length + b.length - inter
-    return inter / union
+@dataclass
+class _Matches:
+    """Every prediction's TP flag per IoU threshold, in pooled
+    (-score, clip id, start, end) order, with its clip's index in sorted
+    clip ids and its rank within the clip."""
+
+    flags: dict[float, np.ndarray]
+    clip: np.ndarray
+    rank: np.ndarray
+    npos: int
 
 
-def _check_clip_ids(preds: Predictions, gts: GroundTruth) -> None:
-    unknown = set(preds) - set(gts)
-    if unknown:
-        raise ValueError(f"predictions reference unknown clip ids: {sorted(unknown)}")
-
-
-def _sorted_clip_preds(proposals: list[ScoredProposal]) -> list[ScoredProposal]:
-    return sorted(proposals, key=lambda p: (-p.score, p.segment.start, p.segment.end))
-
-
-def _greedy_match(preds: list[ScoredProposal], gts: list[Segment], tau: float,
-                  taken: list[bool]) -> list[bool]:
-    """Flags each prediction TP/FP; mutates `taken` as ground truths are used."""
-    flags = []
-    for pred in preds:
-        best_iou, best_idx = 0.0, -1
-        for k, gt in enumerate(gts):
-            if taken[k]:
-                continue
-            iou = segment_iou(pred.segment, gt)
-            if iou >= tau and iou > best_iou:
-                best_iou, best_idx = iou, k
-        if best_idx >= 0:
-            taken[best_idx] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+def _greedy_flags(iou: np.ndarray, tau: float) -> np.ndarray:
+    """Each row in turn takes the best still-free ground truth (first on ties)
+    with IoU >= tau and > 0; its flag says whether it got one."""
+    flags = np.zeros(iou.shape[0], dtype=bool)
+    free = [True] * iou.shape[1]
+    for p in np.flatnonzero((iou >= tau).any(axis=1)).tolist():
+        best_iou, best_k = 0.0, -1
+        for k, v in enumerate(iou[p].tolist()):
+            if free[k] and v >= tau and v > best_iou:
+                best_iou, best_k = v, k
+        if best_k >= 0:
+            flags[p], free[best_k] = True, False
     return flags
 
 
-def average_precision(preds: Predictions, gts: GroundTruth, tau: float) -> float:
-    _check_clip_ids(preds, gts)
-    npos = sum(len(v) for v in gts.values())
-    if npos == 0:
+def _match(preds: Predictions, gts: GroundTruth, taus) -> _Matches:
+    """Sort the predictions once and match each clip's [P, G] IoU matrix once
+    per threshold. Within a clip the pooled order is (-score, start, end)."""
+    unknown = set(preds) - set(gts)
+    if unknown:
+        raise ValueError(f"predictions reference unknown clip ids: {sorted(unknown)}")
+    ids = sorted(gts)
+    rows = np.array([(k, p.segment.start, p.segment.end, p.score)
+                     for k, clip_id in enumerate(ids) for p in preds.get(clip_id, [])],
+                    dtype=np.float64).reshape(-1, 4)
+    rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], -rows[:, 3]))]
+    m = _Matches({tau: np.zeros(len(rows), dtype=bool) for tau in taus},
+                 rows[:, 0].astype(int), np.zeros(len(rows), dtype=int),
+                 sum(len(segs) for segs in gts.values()))
+    for k, clip_id in enumerate(ids):
+        idx = np.flatnonzero(m.clip == k)
+        m.rank[idx] = np.arange(len(idx))
+        gt = np.array([s.to_list() for s in gts[clip_id]]).reshape(-1, 2)
+        iou = interval_iou(rows[idx, 1:2], rows[idx, 2:3], gt[:, 0], gt[:, 1])
+        for tau, flags in m.flags.items():
+            flags[idx] = _greedy_flags(iou, tau)
+    return m
+
+
+def _ap(m: _Matches, tau: float) -> float:
+    if not m.npos or not len(m.clip):
         return 0.0
-    # Pool across clips; ties break on clip id then segment for determinism.
-    pooled = sorted(
-        ((clip_id, p) for clip_id, plist in preds.items() for p in plist),
-        key=lambda cp: (-cp[1].score, cp[0], cp[1].segment.start, cp[1].segment.end),
-    )
-    taken = {clip_id: [False] * len(segs) for clip_id, segs in gts.items()}
-    tp = 0
-    fp = 0
-    precisions = []
-    recalls = []
-    for clip_id, pred in pooled:
-        flags = _greedy_match([pred], gts[clip_id], tau, taken[clip_id])
-        if flags[0]:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / npos)
-    if not precisions:
-        return 0.0
+    tp = np.cumsum(m.flags[tau])
+    precisions = tp / np.arange(1, len(tp) + 1)
+    recalls = tp / m.npos
     # All-point interpolation: monotone precision envelope from the right,
-    # integrated over recall steps.
-    mpre = [0.0] + precisions + [0.0]
-    mrec = [0.0] + recalls + [recalls[-1]]
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    # integrated over recall steps, summed left to right.
+    mpre = np.maximum.accumulate(np.concatenate([[0.0], precisions, [0.0]])[::-1])[::-1]
+    mrec = np.concatenate([[0.0], recalls, recalls[-1:]])
     ap = 0.0
-    for i in range(1, len(mrec)):
-        ap += (mrec[i] - mrec[i - 1]) * mpre[i]
+    for term in ((mrec[1:] - mrec[:-1]) * mpre[1:]).tolist():
+        ap += term
     return ap
 
 
+def _recall(m: _Matches, tau: float, budget: int) -> float:
+    """Share of ground truths matched by the first `budget` predictions of each clip."""
+    return int(m.flags[tau][m.rank < budget].sum()) / m.npos if m.npos else 0.0
+
+
+def _average_recall(m: _Matches, budget: int) -> float:
+    if budget < 1:
+        raise ValueError(f"average_recall: budget must be >= 1, got {budget}")
+    return sum(_recall(m, tau, budget) for tau in AR_TAUS) / len(AR_TAUS)
+
+
+def average_precision(preds: Predictions, gts: GroundTruth, tau: float) -> float:
+    return _ap(_match(preds, gts, (tau,)), tau)
+
+
 def recall_at(preds: Predictions, gts: GroundTruth, tau: float, budget: int) -> float:
-    _check_clip_ids(preds, gts)
-    npos = sum(len(v) for v in gts.values())
-    if npos == 0:
-        return 0.0
-    matched = 0
-    for clip_id, segs in gts.items():
-        clip_preds = _sorted_clip_preds(preds.get(clip_id, []))[:budget]
-        taken = [False] * len(segs)
-        flags = _greedy_match(clip_preds, segs, tau, taken)
-        matched += sum(flags)
-    return matched / npos
+    return _recall(_match(preds, gts, (tau,)), tau, budget)
 
 
 def average_recall(preds: Predictions, gts: GroundTruth, budget: int) -> float:
-    if budget < 1:
-        raise ValueError(f"average_recall: budget must be >= 1, got {budget}")
-    return sum(recall_at(preds, gts, tau, budget) for tau in AR_TAUS) / len(AR_TAUS)
+    return _average_recall(_match(preds, gts, AR_TAUS), budget)
 
 
 def evaluate(
@@ -145,18 +148,16 @@ def evaluate(
     ap_taus: tuple[float, ...] = AP_TAUS,
     ar_budgets: tuple[int, ...] = AR_BUDGETS,
 ) -> EvalReport:
-    _check_clip_ids(preds, gts)
+    m = _match(preds, gts, (*ap_taus, *AR_TAUS, 0.5))
     report = EvalReport(
-        ap={tau: average_precision(preds, gts, tau) for tau in ap_taus},
-        ar={n: average_recall(preds, gts, n) for n in ar_budgets},
+        ap={tau: _ap(m, tau) for tau in ap_taus},
+        ar={n: _average_recall(m, n) for n in ar_budgets},
     )
-    for clip_id, segs in sorted(gts.items()):
-        clip_preds = _sorted_clip_preds(preds.get(clip_id, []))
-        taken = [False] * len(segs)
-        flags = _greedy_match(clip_preds, segs, 0.5, taken)
+    for k, clip_id in enumerate(sorted(gts)):
+        in_clip = m.clip == k
         report.per_clip[clip_id] = {
-            "gt_count": len(segs),
-            "pred_count": len(clip_preds),
-            "matched_at_0.5": sum(flags),
+            "gt_count": len(gts[clip_id]),
+            "pred_count": int(in_clip.sum()),
+            "matched_at_0.5": int(m.flags[0.5][in_clip].sum()),
         }
     return report

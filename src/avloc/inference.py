@@ -4,7 +4,10 @@ Pipeline per clip: align the backward probability triplet to forward time
 (reverse, swap start/end), fuse both directions by elementwise geometric
 mean, score every in-range candidate from the boundary map and the fused
 sequences, then Soft-NMS with Gaussian score decay and top-k retention.
-All numpy; no autodiff involvement.
+Scoring and Soft-NMS pass one float64 [P, 3] array of (start, end, score)
+rows, the layout of the predictions file; `pipeline.predict_clip` turns
+the kept rows into ScoredProposal objects. All numpy; no autodiff
+involvement.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Segment
-from .labels import ProbTriplet
+from .data import DatasetFormatError, Segment, finite_float, interval_iou
+from .labels import ProbTriplet, in_range_mask
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,10 @@ def fuse_bidirectional(fwd: ProbTriplet, bwd: ProbTriplet) -> ProbTriplet:
     )
 
 
-def score_proposals(boundary_map: np.ndarray, probs: ProbTriplet) -> list[ScoredProposal]:
-    """Score every in-range candidate (start j, duration i+1).
+def score_proposals(boundary_map: np.ndarray, probs: ProbTriplet) -> np.ndarray:
+    """Score every in-range candidate (start j, duration i+1) as a float64 [P, 3] array.
 
+    Rows are (start, end, score), duration-major then start, with
     score = map[i, j] * start[j] * end[j+i] * mean(content[j .. j+i]);
     j+i is the last frame of the candidate and the content mean includes
     both endpoint frames.
@@ -82,53 +86,36 @@ def score_proposals(boundary_map: np.ndarray, probs: ProbTriplet) -> list[Scored
             f"{probs.start.shape[0]}"
         )
     csum = np.concatenate([[0.0], np.cumsum(probs.content)])
-    proposals = []
-    for i in range(max_duration):
-        n_valid = t - i
-        if n_valid <= 0:
-            break
-        j = np.arange(n_valid)
-        content_mean = (csum[j + i + 1] - csum[j]) / (i + 1)
-        scores = boundary_map[i, :n_valid] * probs.start[j] * probs.end[j + i] * content_mean
-        for jj in range(n_valid):
-            proposals.append(ScoredProposal(Segment(jj, jj + i + 1), float(scores[jj])))
-    return proposals
+    i, j = np.nonzero(in_range_mask(max_duration, t))
+    content_mean = (csum[j + i + 1] - csum[j]) / (i + 1)
+    scores = boundary_map[i, j] * probs.start[j] * probs.end[j + i] * content_mean
+    return np.column_stack([j, j + i + 1, scores]).astype(np.float64, copy=False)
 
 
-def _interval_iou(starts: np.ndarray, ends: np.ndarray, start: int, end: int) -> np.ndarray:
-    inter = np.clip(np.minimum(ends, end) - np.maximum(starts, start), 0, None)
-    union = (ends - starts) + (end - start) - inter
-    return inter / union
+def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
+    """Gaussian Soft-NMS over [P, 3] (start, end, score) rows.
 
-
-def soft_nms(proposals: list[ScoredProposal], cfg: InferenceConfig) -> list[ScoredProposal]:
-    """Gaussian Soft-NMS: keep the current best, decay overlaps by exp(-IoU^2 / sigma).
-
-    Proposals whose decayed score falls below cfg.score_floor are dropped;
-    selection stops after cfg.top_k picks. Score ties resolve to the earliest
-    proposal in input order.
+    Keep the current best, decay overlaps by exp(-IoU^2 / sigma). Rows
+    whose decayed score falls below cfg.score_floor are dropped; selection
+    stops after cfg.top_k picks. Score ties resolve to the earliest row.
+    Returns the picked rows with their scores at pick time, highest score
+    first (a stable sort, so equal scores keep their pick order).
     """
-    sigma, score_floor, top_k = cfg.sigma, cfg.score_floor, cfg.top_k
-    if not proposals:
-        return []
-    starts = np.array([p.segment.start for p in proposals], dtype=np.float64)
-    ends = np.array([p.segment.end for p in proposals], dtype=np.float64)
-    scores = np.array([p.score for p in proposals], dtype=np.float64)
-    active = scores >= score_floor
-    selected: list[ScoredProposal] = []
-    while len(selected) < top_k and active.any():
-        masked = np.where(active, scores, -np.inf)
-        best = int(np.argmax(masked))  # first index wins ties
-        selected.append(ScoredProposal(proposals[best].segment, float(scores[best])))
+    starts, ends = proposals[:, 0], proposals[:, 1]
+    scores = proposals[:, 2].copy()
+    active = scores >= cfg.score_floor
+    picked: list[int] = []
+    while len(picked) < cfg.top_k and active.any():
+        best = int(np.argmax(np.where(active, scores, -np.inf)))  # first index wins ties
+        picked.append(best)
         active[best] = False
         idx = np.flatnonzero(active)
         if idx.size:
-            iou = _interval_iou(starts[idx], ends[idx], proposals[best].segment.start,
-                                proposals[best].segment.end)
-            scores[idx] *= np.exp(-(iou ** 2) / sigma)
-            active[idx] &= scores[idx] >= score_floor
-    selected.sort(key=lambda p: -p.score)
-    return selected
+            iou = interval_iou(starts[idx], ends[idx], starts[best], ends[best])
+            scores[idx] *= np.exp(-(iou ** 2) / cfg.sigma)
+            active[idx] &= scores[idx] >= cfg.score_floor
+    kept = np.column_stack([starts[picked], ends[picked], scores[picked]])
+    return kept[np.argsort(-kept[:, 2], kind="stable")]
 
 
 def predictions_to_json(clip_id: str, proposals: list[ScoredProposal]) -> dict:
@@ -139,13 +126,38 @@ def predictions_to_json(clip_id: str, proposals: list[ScoredProposal]) -> dict:
     }
 
 
-def predictions_from_json(obj: dict) -> tuple[str, list[ScoredProposal]]:
-    try:
-        clip_id = obj["id"]
-        proposals = [
-            ScoredProposal(Segment(int(s), int(e)), float(score))
-            for s, e, score in obj["proposals"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed prediction object: {exc}") from exc
-    return clip_id, proposals
+def predictions_from_json(raw, source) -> dict[str, list[ScoredProposal]]:
+    """Read the predictions file payload: a JSON array of
+    {"id": str, "proposals": [[start, end, score], ...]} records.
+
+    Ids must be unique, frames integers with 0 <= start < end and scores
+    finite numbers. Anything else raises DatasetFormatError naming `source`
+    and the record index.
+    """
+    if not isinstance(raw, list):
+        raise DatasetFormatError(f"{source}: expected a JSON array of prediction records")
+    preds: dict[str, list[ScoredProposal]] = {}
+    for k, obj in enumerate(raw):
+        where = f"{source}: record {k}"
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"{where}: expected a JSON object, got {obj!r}")
+        clip_id, rows = obj.get("id"), obj.get("proposals")
+        if not isinstance(clip_id, str):
+            raise DatasetFormatError(f"{where}: 'id' must be a string, got {clip_id!r}")
+        if clip_id in preds:
+            raise DatasetFormatError(f"{where}: duplicate id {clip_id!r}")
+        if not isinstance(rows, list):
+            raise DatasetFormatError(f"{where}: 'proposals' must be a JSON array")
+        preds[clip_id] = [_proposal_from_row(row, f"{where}: proposals[{n}]")
+                          for n, row in enumerate(rows)]
+    return preds
+
+
+def _proposal_from_row(row, where: str) -> ScoredProposal:
+    if not (isinstance(row, list) and len(row) == 3):
+        raise DatasetFormatError(f"{where}: expected [start, end, score], got {row!r}")
+    start, end, score = row
+    if not (type(start) is int and type(end) is int and 0 <= start < end):  # bool excluded
+        raise DatasetFormatError(
+            f"{where}: expected integer frames 0 <= start < end, got {row!r}")
+    return ScoredProposal(Segment(start, end), finite_float(score, f"{where} score"))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Segment, StreamAnnotation
+from .data import Segment, StreamAnnotation, interval_iou
 
 
 @dataclass
@@ -99,9 +99,7 @@ def build_boundary_map(ann: StreamAnnotation, max_duration: int) -> BoundaryMap:
     starts = np.arange(t)[None, :]
     ends = starts + np.arange(1, max_duration + 1)[:, None]
     for seg in merge_segments(ann):
-        inter = np.clip(np.minimum(ends, seg.end) - np.maximum(starts, seg.start), 0, None)
-        union = (ends - starts) + seg.length - inter
-        np.maximum(values, inter / union, out=values)
+        np.maximum(values, interval_iou(starts, ends, seg.start, seg.end), out=values)
     values[~in_range_mask(max_duration, t)] = 0.0
     return BoundaryMap(values=values)
 

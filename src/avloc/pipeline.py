@@ -1,12 +1,14 @@
 """Dataset-level orchestration shared by the CLI and the experiment scripts.
 
 The model's frame head emits a [T, 3] tensor per direction (columns start,
-end, content); inference reads its columns as a numpy ProbTriplet.
+end, content); inference reads its columns as a numpy ProbTriplet. Scoring
+and Soft-NMS work on [P, 3] (start, end, score) arrays; `predict_clip`
+returns the kept rows as ScoredProposal objects.
 """
 
 from __future__ import annotations
 
-from .data import Clip, StreamAnnotation
+from .data import Clip, Segment, StreamAnnotation
 from .inference import (
     InferenceConfig,
     ScoredProposal,
@@ -21,7 +23,8 @@ from .model import Model
 def predict_clip(
     model: Model, clip: Clip, infer_cfg: InferenceConfig, fusion: str = "both"
 ) -> list[ScoredProposal]:
-    """Forward pass, direction fusion, scoring, and Soft-NMS for one clip.
+    """Forward pass, direction fusion, scoring, and Soft-NMS for one clip,
+    highest score first.
 
     fusion="forward" skips the backward direction at scoring time (ablation
     hook); the model still runs both directions.
@@ -35,8 +38,8 @@ def predict_clip(
         probs = fuse_bidirectional(fwd, ProbTriplet(*out.probs_bwd.data.T))
     else:
         probs = fwd
-    proposals = score_proposals(out.boundary_map.data, probs)
-    return soft_nms(proposals, infer_cfg)
+    kept = soft_nms(score_proposals(out.boundary_map.data, probs), infer_cfg)
+    return [ScoredProposal(Segment(int(s), int(e)), x) for s, e, x in kept.tolist()]
 
 
 def predict_dataset(

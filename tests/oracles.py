@@ -199,6 +199,33 @@ def brute_force_pr_curve(
     return precisions, recalls
 
 
+def brute_force_recall(
+    preds: dict[str, list[tuple[int, int, float]]],
+    gts: dict[str, list[tuple[int, int]]],
+    tau: float,
+    budget: int,
+) -> dict[str, int]:
+    """Per clip: ground truths matched by greedy matching of its top-`budget` predictions."""
+    matched = {}
+    for cid, segs in gts.items():
+        top = sorted(preds.get(cid, []), key=lambda p: (-p[2], p[0], p[1]))[:budget]
+        used = [False] * len(segs)
+        for s, e, _ in top:
+            best_iou, best_k = 0.0, -1
+            for k, (gs, ge) in enumerate(segs):
+                if used[k]:
+                    continue
+                inter = max(0, min(e, ge) - max(s, gs))
+                union = (e - s) + (ge - gs) - inter
+                iou = inter / union
+                if iou >= tau and iou > best_iou:
+                    best_iou, best_k = iou, k
+            if best_k >= 0:
+                used[best_k] = True
+        matched[cid] = sum(used)
+    return matched
+
+
 def brute_force_ap(precisions: list[float], recalls: list[float]) -> float:
     """All-point interpolated AP from raw PR points."""
     if not precisions:

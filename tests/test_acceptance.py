@@ -129,8 +129,7 @@ def test_criterion_4_inference_oracles():
         bmap = rng.uniform(0, 1, (max_dur, t))
         probs = ProbTriplet(start=rng.uniform(0, 1, t), end=rng.uniform(0, 1, t),
                             content=rng.uniform(0, 1, t))
-        got = {(p.segment.start, p.segment.end): p.score
-               for p in score_proposals(bmap, probs)}
+        got = {(int(s), int(e)): x for s, e, x in score_proposals(bmap, probs).tolist()}
         want = brute_force_scores(bmap, probs.start, probs.end, probs.content)
         ok = ok and got.keys() == want.keys()
         worst = max(worst, max(abs(got[k] - want[k]) for k in want))
@@ -144,13 +143,12 @@ def test_criterion_4_inference_oracles():
                 for s, d, x in zip(rng.integers(0, 24, n), rng.integers(1, 9, n),
                                    rng.uniform(0.005, 1, n))]
         sigma, floor, top_k = float(rng.uniform(0.2, 0.9)), 1e-3, int(rng.integers(1, 7))
-        got = soft_nms([ScoredProposal(Segment(s, e), x) for s, e, x in rows],
+        got = soft_nms(np.array(rows, dtype=np.float64),
                        InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k))
         want = brute_force_soft_nms(rows, sigma, floor, top_k)
         nms_ok = nms_ok and len(got) == len(want) and all(
-            (g.segment.start, g.segment.end) == (w[0], w[1])
-            and abs(g.score - w[2]) <= 1e-12
-            for g, w in zip(got, want)
+            (s, e) == (w[0], w[1]) and abs(x - w[2]) <= 1e-12
+            for (s, e, x), w in zip(got.tolist(), want)
         )
     ok = ok and nms_ok
     detail.append("soft-nms == step-by-step simulation (<=6 proposals)")

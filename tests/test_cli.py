@@ -176,6 +176,50 @@ def test_eval_rejects_malformed_predictions(dataset, tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("payload, message", [
+    ("5", "expected a JSON array"),
+    ('[{"id": ["x"], "proposals": []}]', "record 0: 'id' must be a string"),
+    ('[{"id": "a", "proposals": [[0, 4, 0.5]]}, {"id": "a", "proposals": []}]',
+     "record 1: duplicate id"),
+    ('[{"id": "a", "proposals": [[0, 4, NaN]]}]', "record 0: proposals[0] score"),
+    ('[{"id": "a", "proposals": [[0, 4, "0.5"]]}]', "record 0: proposals[0] score"),
+    ('[{"id": "a", "proposals": [[true, 4, 0.5]]}]', "record 0: proposals[0]: expected integer"),
+    ('[{"id": "a", "proposals": [[0.7, 4, 0.5]]}]', "record 0: proposals[0]: expected integer"),
+], ids=["root-int", "id-list", "duplicate-id", "score-nan", "score-string", "start-bool",
+        "start-fraction"])
+def test_eval_rejects_malformed_prediction_records(dataset, tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    out = tmp_path / "r.json"
+    assert main(["eval", "--pred", str(bad), "--data", str(dataset / "test"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("report, message", [
+    ("[]", "expected a JSON object"),
+    ('{"ap": [1]}', "'ap' must be a JSON object"),
+    ('{"ar": {"10": "x,y"}}', "ar['10']: expected a finite number"),
+    ('{"ap": {"0.5": NaN}}', "ap['0.5']: expected a finite number"),
+    ('{"ap": {"0.5": true}}', "ap['0.5']: expected a finite number"),
+    ('{"ap": {"0,5": 0.5}}', "ap key '0,5' is not a CSV field"),
+], ids=["root-array", "ap-array", "ar-string", "ap-nan", "ap-bool", "key-comma"])
+def test_plotdata_rejects_malformed_reports(tmp_path, capsys, report, message):
+    good = tmp_path / "good.json"
+    good.write_text('{"ap": {"0.5": 1}, "ar": {"10": 0.25}}')
+    bad = tmp_path / "bad.json"
+    bad.write_text(report)
+    out = tmp_path / "t.csv"
+    assert main(["plotdata", "--reports", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+    assert main(["plotdata", "--reports", str(good), "--out", str(out)]) == 0
+    assert out.read_text() == "report,metric,value\ngood,ap_0.5,1\ngood,ar_10,0.25\n"
+
+
 def test_plotdata_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("step,wrong,header\n1,2,3\n")

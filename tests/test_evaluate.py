@@ -8,10 +8,10 @@ from avloc.evaluate import (
     average_recall,
     evaluate,
     recall_at,
-    segment_iou,
 )
+from avloc.data import interval_iou
 from avloc.inference import ScoredProposal
-from oracles import brute_force_ap, brute_force_pr_curve
+from oracles import brute_force_ap, brute_force_pr_curve, brute_force_recall
 
 
 def prop(s, e, score):
@@ -19,9 +19,9 @@ def prop(s, e, score):
 
 
 def test_segment_iou_values():
-    assert segment_iou(Segment(0, 10), Segment(0, 10)) == 1.0
-    assert segment_iou(Segment(0, 10), Segment(10, 20)) == 0.0
-    assert segment_iou(Segment(0, 4), Segment(2, 6)) == pytest.approx(1 / 3)
+    assert interval_iou(0, 10, 0, 10) == 1.0
+    assert interval_iou(0, 10, 10, 20) == 0.0
+    assert interval_iou(0, 4, 2, 6) == pytest.approx(1 / 3)
 
 
 def test_perfect_predictions_score_one():
@@ -159,3 +159,46 @@ def test_report_serialization_roundtrip():
     header, values = report.csv_row()
     assert header.split(",") == ["ap_0.5", "ap_0.75", "ap_0.95", "ar_50", "ar_20", "ar_10"]
     assert len(values.split(",")) == 6
+
+
+def test_interval_iou_broadcasts_to_a_matrix():
+    iou = interval_iou(np.array([[0], [2]]), np.array([[4], [6]]),
+                       np.array([0, 4]), np.array([4, 8]))
+    np.testing.assert_array_equal(iou, [[1.0, 0.0], [1 / 3, 1 / 3]])
+
+
+def test_recall_and_per_clip_matches_oracle_on_random_datasets():
+    rng = np.random.default_rng(14)
+    for _ in range(25):
+        preds, gts = _random_eval_case(rng, clips=int(rng.integers(1, 6)))
+        raw_preds = {cid: [(p.segment.start, p.segment.end, p.score) for p in plist]
+                     for cid, plist in preds.items()}
+        raw_gts = {cid: [(s.start, s.end) for s in segs] for cid, segs in gts.items()}
+        npos = sum(len(v) for v in raw_gts.values())
+        report = evaluate(preds, gts, ar_budgets=(1, 3, 50))
+        for budget in (1, 3, 50):
+            matched = [brute_force_recall(raw_preds, raw_gts, tau, budget) for tau in AR_TAUS]
+            want = sum(sum(m.values()) / npos for m in matched) / len(AR_TAUS)
+            assert report.ar[budget] == pytest.approx(want, abs=1e-12)
+        at_half = brute_force_recall(raw_preds, raw_gts, 0.5, 10**6)
+        for cid in gts:
+            assert report.per_clip[cid]["matched_at_0.5"] == at_half[cid]
+
+
+def test_duplicate_predictions_match_once():
+    gts = {"a": [Segment(0, 10)]}
+    preds = {"a": [prop(0, 10, 0.8), prop(0, 10, 0.8)]}
+    report = evaluate(preds, gts)
+    assert report.per_clip["a"] == {"gt_count": 1, "pred_count": 2, "matched_at_0.5": 1}
+    assert report.ap[0.5] == 1.0  # the first copy is the TP, so precision is 1 at recall 1
+    assert recall_at(preds, gts, 0.5, budget=1) == 1.0
+
+
+def test_score_ties_match_in_start_end_order():
+    # Equal scores sort by start, then end: [0, 9) (IoU 0.9) comes before [0, 10).
+    gts = {"a": [Segment(0, 10)]}
+    preds = {"a": [prop(0, 10, 0.8), prop(0, 9, 0.8)]}
+    report = evaluate(preds, gts)
+    assert report.ap[0.5] == 1.0  # [0, 9) takes the ground truth first
+    assert report.ap[0.95] == 0.5  # [0, 9) misses, [0, 10) matches second
+    assert recall_at(preds, gts, 0.95, budget=1) == 0.0

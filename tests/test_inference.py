@@ -1,12 +1,19 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avloc.data import Segment
+from avloc.data import DatasetFormatError, Segment
 from avloc.inference import (
     InferenceConfig,
     ScoredProposal,
     align_backward,
     fuse_bidirectional,
+    predictions_from_json,
+    predictions_to_json,
     score_proposals,
     soft_nms,
 )
@@ -82,6 +89,11 @@ def test_fuse_length_mismatch():
 
 # -- proposal scoring --------------------------------------------------------
 
+def scored(bmap, probs):
+    """score_proposals rows as {(start, end): score}."""
+    return {(int(s), int(e)): x for s, e, x in score_proposals(bmap, probs).tolist()}
+
+
 def test_score_hand_value():
     t = 4
     bmap = np.zeros((2, t))
@@ -91,7 +103,7 @@ def test_score_hand_value():
         end=np.array([0.0, 0.9, 0.0, 0.0]),
         content=np.array([0.6, 0.4, 0.0, 0.0]),
     )
-    scores = {(p.segment.start, p.segment.end): p.score for p in score_proposals(bmap, probs)}
+    scores = scored(bmap, probs)
     assert scores[(0, 2)] == pytest.approx(0.8 * 0.9 * 0.9 * 0.5)  # = 0.324
 
 
@@ -100,16 +112,16 @@ def test_score_zero_factor_vetoes():
     bmap = rng.uniform(0, 1, (3, 6))
     probs = rand_triplet(6, rng)
     probs.start[2] = 0.0
-    for p in score_proposals(bmap, probs):
-        if p.segment.start == 2:
-            assert p.score == 0.0
+    for (start, _), score in scored(bmap, probs).items():
+        if start == 2:
+            assert score == 0.0
 
 
 def test_score_emits_all_in_range_candidates():
     max_dur, t = 5, 12
     proposals = score_proposals(np.ones((max_dur, t)), rand_triplet(t, RNG))
     assert len(proposals) == sum(t - i for i in range(max_dur))
-    assert len({(p.segment.start, p.segment.end) for p in proposals}) == len(proposals)
+    assert len({(s, e) for s, e, _ in proposals.tolist()}) == len(proposals)
 
 
 def test_score_matches_brute_force():
@@ -119,12 +131,35 @@ def test_score_matches_brute_force():
         max_dur = int(rng.integers(1, 9))
         bmap = rng.uniform(0, 1, (max_dur, t))
         probs = rand_triplet(t, rng)
-        got = {(p.segment.start, p.segment.end): p.score
-               for p in score_proposals(bmap, probs)}
+        got = scored(bmap, probs)
         want = brute_force_scores(bmap, probs.start, probs.end, probs.content)
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+
+def test_score_rows_follow_brute_force_candidate_order():
+    # Duration-major, then start: the order in which Soft-NMS breaks score ties.
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        t = int(rng.integers(4, 33))
+        max_dur = int(rng.integers(1, 40))
+        bmap = rng.uniform(0, 1, (max_dur, t))
+        probs = rand_triplet(t, rng)
+        got = score_proposals(bmap, probs)
+        want = brute_force_scores(bmap, probs.start, probs.end, probs.content)
+        assert [(s, e) for s, e, _ in got.tolist()] == list(want)
+        np.testing.assert_allclose(got[:, 2], list(want.values()), rtol=0, atol=1e-12)
+
+
+def test_score_and_soft_nms_return_float64_rows():
+    rng = np.random.default_rng(17)
+    scored_rows = score_proposals(rng.uniform(0, 1, (4, 10)), rand_triplet(10, rng))
+    kept = soft_nms(scored_rows, InferenceConfig(top_k=5))
+    empty = soft_nms(rows(), InferenceConfig())
+    for out, n in ((scored_rows, 34), (kept, 5), (empty, 0)):
+        assert out.dtype == np.float64
+        assert out.shape == (n, 3)
 
 
 def test_score_length_mismatch():
@@ -134,61 +169,60 @@ def test_score_length_mismatch():
 
 # -- Soft-NMS ----------------------------------------------------------------
 
-def prop(s, e, score):
-    return ScoredProposal(Segment(s, e), score)
+def rows(*proposals):
+    """(start, end, score) tuples as a float64 [P, 3] array."""
+    return np.array(proposals, dtype=np.float64).reshape(-1, 3)
 
 
 def test_single_proposal_unchanged():
-    out = soft_nms([prop(2, 6, 0.7)], InferenceConfig())
-    assert out == [prop(2, 6, 0.7)]
+    out = soft_nms(rows((2, 6, 0.7)), InferenceConfig())
+    assert out.tolist() == [[2, 6, 0.7]]
 
 
 def test_disjoint_proposals_unchanged():
-    out = soft_nms([prop(0, 4, 0.9), prop(10, 14, 0.6)], InferenceConfig())
-    assert {(p.segment.start, p.score) for p in out} == {(0, 0.9), (10, 0.6)}
+    out = soft_nms(rows((0, 4, 0.9), (10, 14, 0.6)), InferenceConfig())
+    assert {(s, x) for s, _, x in out.tolist()} == {(0, 0.9), (10, 0.6)}
 
 
 def test_identical_segments_decay():
-    out = soft_nms([prop(3, 9, 0.9), prop(3, 9, 0.8)], InferenceConfig(sigma=0.5))
-    assert out[0].score == 0.9
-    assert out[1].score == pytest.approx(0.8 * np.exp(-2.0))  # ~0.10827
+    out = soft_nms(rows((3, 9, 0.9), (3, 9, 0.8)), InferenceConfig(sigma=0.5))
+    assert out[0, 2] == 0.9
+    assert out[1, 2] == pytest.approx(0.8 * np.exp(-2.0))  # ~0.10827
 
 
 def test_top1_always_survives_unchanged():
     rng = np.random.default_rng(8)
     for _ in range(10):
-        props = [prop(int(s), int(s) + int(d), float(x))
-                 for s, d, x in zip(rng.integers(0, 20, 6), rng.integers(1, 8, 6),
-                                    rng.uniform(0.1, 1, 6))]
-        best = max(props, key=lambda p: p.score)
+        props = rows(*[(int(s), int(s) + int(d), float(x))
+                       for s, d, x in zip(rng.integers(0, 20, 6), rng.integers(1, 8, 6),
+                                          rng.uniform(0.1, 1, 6))])
+        best = props[np.argmax(props[:, 2])]
         out = soft_nms(props, InferenceConfig(sigma=0.4, score_floor=1e-4, top_k=6))
-        assert out[0] == best
+        assert out[0].tolist() == best.tolist()
 
 
 def test_scores_never_increase_and_segments_are_subset():
     rng = np.random.default_rng(9)
-    props = [prop(int(s), int(s) + int(d), float(x))
-             for s, d, x in zip(rng.integers(0, 12, 8), rng.integers(1, 6, 8),
-                                rng.uniform(0.01, 1, 8))]
+    props = rows(*[(int(s), int(s) + int(d), float(x))
+                   for s, d, x in zip(rng.integers(0, 12, 8), rng.integers(1, 6, 8),
+                                      rng.uniform(0.01, 1, 8))])
     originals = {}
-    for p in props:
-        key = (p.segment.start, p.segment.end)
-        originals[key] = max(originals.get(key, 0.0), p.score)
+    for s, e, score in props.tolist():
+        originals[(s, e)] = max(originals.get((s, e), 0.0), score)
     out = soft_nms(props, InferenceConfig(sigma=0.3, top_k=8))
-    for p in out:
-        key = (p.segment.start, p.segment.end)
-        assert key in originals
-        assert p.score <= originals[key] + 1e-12
+    for s, e, score in out.tolist():
+        assert (s, e) in originals
+        assert score <= originals[(s, e)] + 1e-12
 
 
 def test_score_floor_drops_proposals():
-    out = soft_nms([prop(0, 4, 0.9), prop(0, 4, 0.5)],
+    out = soft_nms(rows((0, 4, 0.9), (0, 4, 0.5)),
                    InferenceConfig(sigma=0.1, score_floor=1e-2))
     assert len(out) == 1
 
 
 def test_top_k_limits_output():
-    props = [prop(i * 10, i * 10 + 4, 0.5) for i in range(7)]
+    props = rows(*[(i * 10, i * 10 + 4, 0.5) for i in range(7)])
     assert len(soft_nms(props, InferenceConfig(top_k=3))) == 3
 
 
@@ -196,19 +230,19 @@ def test_soft_nms_matches_step_by_step_simulation():
     rng = np.random.default_rng(10)
     for trial in range(30):
         n = int(rng.integers(1, 7))
-        rows = [(int(s), int(s) + int(d), float(x))
-                for s, d, x in zip(rng.integers(0, 24, n), rng.integers(1, 9, n),
-                                   rng.uniform(0.005, 1, n))]
+        cases = [(int(s), int(s) + int(d), float(x))
+                 for s, d, x in zip(rng.integers(0, 24, n), rng.integers(1, 9, n),
+                                    rng.uniform(0.005, 1, n))]
         sigma = float(rng.uniform(0.2, 0.9))
         floor = 1e-3
         top_k = int(rng.integers(1, 7))
-        got = soft_nms([prop(*r) for r in rows],
+        got = soft_nms(rows(*cases),
                        InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k))
-        want = brute_force_soft_nms(rows, sigma, floor, top_k)
+        want = brute_force_soft_nms(cases, sigma, floor, top_k)
         assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.segment.start, g.segment.end) == (w[0], w[1])
-            assert g.score == pytest.approx(w[2], abs=1e-12)
+        for (s, e, score), w in zip(got.tolist(), want):
+            assert (s, e) == (w[0], w[1])
+            assert score == pytest.approx(w[2], abs=1e-12)
 
 
 def test_inference_config_validation():
@@ -216,3 +250,81 @@ def test_inference_config_validation():
         InferenceConfig(sigma=0.0)
     with pytest.raises(ValueError, match="top_k"):
         InferenceConfig(top_k=0)
+
+
+# -- predictions file ----------------------------------------------------------
+
+def test_predictions_json_roundtrip():
+    props = [ScoredProposal(Segment(2, 8), 0.5), ScoredProposal(Segment(0, 4), 0.9)]
+    payload = json.loads(json.dumps([predictions_to_json("c", props), {"id": "d", "proposals": []}]))
+    assert payload[0]["proposals"] == [[0, 4, 0.9], [2, 8, 0.5]]
+    assert predictions_from_json(payload, "p.json") == {"c": props[::-1], "d": []}
+
+
+def record(*rows, clip_id="a"):
+    return {"id": clip_id, "proposals": [list(r) for r in rows]}
+
+
+@pytest.mark.parametrize("raw, message", [
+    (5, "p.json: expected a JSON array"),
+    ({"id": "a", "proposals": []}, "p.json: expected a JSON array"),
+    ([record(), 5], "p.json: record 1: expected a JSON object"),
+    ([{"id": ["x"], "proposals": []}], "p.json: record 0: 'id' must be a string"),
+    ([{"proposals": []}], "p.json: record 0: 'id' must be a string"),
+    ([record((0, 4, 0.5)), record()], "p.json: record 1: duplicate id 'a'"),
+    ([{"id": "a", "proposals": {}}], "p.json: record 0: 'proposals' must be a JSON array"),
+    ([record((0, 4))], r"record 0: proposals\[0\]: expected \[start, end, score\]"),
+    ([record((0, 4, 0.5), (0, 4, 0.5, 1))], r"record 0: proposals\[1\]: expected"),
+    ([record((0, 4, float("nan")))], r"proposals\[0\] score: expected a finite number"),
+    ([record((0, 4, float("inf")))], "score: expected a finite number"),
+    ([record((0, 4, "0.5"))], "score: expected a finite number"),
+    ([record((0, 4, True))], "score: expected a finite number"),
+    ([record((0, 4, 10**400))], "score: expected a finite number"),
+    ([record((True, 4, 0.5))], "integer frames"),
+    ([record((0.7, 4, 0.5))], "integer frames"),
+    ([record((0, 4.0, 0.5))], "integer frames"),
+    ([record((4, 4, 0.5))], "integer frames"),
+    ([record((-1, 4, 0.5))], "integer frames"),
+], ids=[
+    "root-int", "root-object", "record-not-object", "id-list",
+    "id-missing", "duplicate-id", "proposals-object", "row-short",
+    "row-long", "score-nan", "score-inf", "score-string",
+    "score-bool", "score-huge-int", "start-bool", "start-fraction",
+    "end-float", "empty-segment", "negative-start",
+])
+def test_predictions_reader_rejects_malformed_records(raw, message):
+    with pytest.raises(DatasetFormatError, match=message):
+        predictions_from_json(raw, "p.json")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12,
+)
+# Near-valid payloads, so that the row checks are reached as well.
+RECORDS = st.lists(
+    st.fixed_dictionaries({
+        "id": st.sampled_from(["a", "b"]) | JSON_VALUES,
+        "proposals": st.lists(
+            st.lists(st.integers(-1, 6) | st.floats(-1, 2) | JSON_VALUES,
+                     min_size=2, max_size=4),
+            max_size=3,
+        ) | JSON_VALUES,
+    }),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=JSON_VALUES | RECORDS)
+def test_predictions_reader_raises_only_dataset_format_error(raw):
+    try:
+        preds = predictions_from_json(raw, "p.json")
+    except DatasetFormatError:
+        return
+    for plist in preds.values():
+        for p in plist:
+            assert type(p.segment.start) is int and type(p.segment.end) is int
+            assert type(p.score) is float and math.isfinite(p.score)
