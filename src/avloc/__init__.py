@@ -11,14 +11,7 @@ from .inference import (
     score_proposals,
     soft_nms,
 )
-from .labels import (
-    BoundaryMap,
-    FrameLabels,
-    ProbTriplet,
-    build_boundary_map,
-    build_frame_labels,
-    build_prob_triplet,
-)
+from .labels import build_boundary_map, build_frame_labels, build_prob_triplet
 from .losses import LossConfig
 from .model import Model, ModelConfig, build_sampling_mask, load_checkpoint, save_checkpoint
 from .train import OptimConfig, train
@@ -42,9 +35,6 @@ __all__ = [
     "fuse_bidirectional",
     "score_proposals",
     "soft_nms",
-    "BoundaryMap",
-    "FrameLabels",
-    "ProbTriplet",
     "build_boundary_map",
     "build_frame_labels",
     "build_prob_triplet",

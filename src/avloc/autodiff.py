@@ -215,23 +215,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _op(data, parents)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.data.shape[axis]):
-        raise ShapeError(
-            f"slice: range [{start}, {stop}) invalid for shape {a.shape} axis {axis}"
-        )
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-
-    def vjp(g: Array) -> Array:
-        out = np.zeros_like(a.data)
-        out[sl] = g
-        return out
-
-    return _op(a.data[sl].copy(), [(a, vjp)])
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     s = np.empty_like(x)

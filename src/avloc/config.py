@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import SynthConfig
+from .data import DatasetFormatError, SynthConfig, finite_float
 from .inference import InferenceConfig
 from .losses import LossConfig
 from .model import ModelConfig
@@ -56,8 +56,9 @@ _NUMERIC_FIELDS = {int: ((int,), "an integer"), float: ((int, float), "a number"
 
 def _field_values(prefix: str, cls, obj: dict, renames: dict[str, str] | None = None) -> dict:
     """Map JSON keys onto fields of dataclass `cls`, rejecting unknown names,
-    anything but a JSON integer for an `int` field and anything but a JSON
-    number for a `float` field (bools included in both)."""
+    anything but a JSON integer for an `int` field and anything but a finite
+    JSON number for a `float` field (bools included in both). NaN must be
+    caught here: it passes every range check in the dataclasses."""
     renames = renames or {}
     types = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
@@ -70,6 +71,11 @@ def _field_values(prefix: str, cls, obj: dict, renames: dict[str, str] | None = 
             accepted, expected = _NUMERIC_FIELDS[types[name]]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ConfigError(f"{prefix}{key}: expected {expected}, got {value!r}")
+            if types[name] is float:
+                try:
+                    finite_float(value, f"{prefix}{key}")
+                except DatasetFormatError as exc:
+                    raise ConfigError(str(exc)) from None
         kwargs[name] = value
     return kwargs
 

@@ -63,6 +63,17 @@ class Segment:
         return [self.start, self.end]
 
 
+def segment_from_json(pair, where: str) -> Segment:
+    """`pair` as a Segment if it is [start, end] of JSON integers (bools
+    excluded) with 0 <= start < end; else DatasetFormatError."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(v) is int for v in pair) and 0 <= pair[0] < pair[1]):
+        raise DatasetFormatError(
+            f"{where}: expected integer frames [start, end] with 0 <= start < end, "
+            f"got {pair!r}")
+    return Segment(*pair)
+
+
 def interval_iou(starts, ends, start, end) -> np.ndarray:
     """IoU of non-empty intervals [starts, ends) and [start, end), broadcast like numpy."""
     inter = np.clip(np.minimum(ends, end) - np.maximum(starts, start), 0, None)
@@ -270,12 +281,13 @@ def read_feature_file(path: Path) -> FeatureStream:
         raise DatasetFormatError(
             f"{path}: truncated at byte {len(buf)}, expected {expected}"
         )
-    audio = np.frombuffer(buf, dtype="<f4", count=t * da, offset=20)
-    visual = np.frombuffer(buf, dtype="<f4", count=t * dv, offset=20 + 4 * t * da)
-    return FeatureStream(
-        audio=audio.reshape(t, da).astype(np.float64),
-        visual=visual.reshape(t, dv).astype(np.float64),
-    )
+    audio = np.frombuffer(buf, dtype="<f4", count=t * da, offset=20).reshape(t, da)
+    visual = np.frombuffer(buf, dtype="<f4", count=t * dv, offset=20 + 4 * t * da).reshape(t, dv)
+    for name, values in (("audio", audio), ("visual", visual)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise DatasetFormatError(f"{path}: non-finite {name} feature value at frame {bad[0]}")
+    return FeatureStream(audio=audio.astype(np.float64), visual=visual.astype(np.float64))
 
 
 def annotation_to_dict(ann: StreamAnnotation) -> dict:
@@ -287,16 +299,26 @@ def annotation_to_dict(ann: StreamAnnotation) -> dict:
     }
 
 
-def annotation_from_dict(obj: dict) -> StreamAnnotation:
+def annotation_from_dict(obj, where: str) -> StreamAnnotation:
+    """One annotation record; anything malformed raises DatasetFormatError naming `where`."""
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{where}: expected a JSON object, got {obj!r}")
+    clip_id, num_frames = obj.get("id"), obj.get("num_frames")
+    if not isinstance(clip_id, str):
+        raise DatasetFormatError(f"{where}: 'id' must be a string, got {clip_id!r}")
+    if not (type(num_frames) is int and num_frames >= 1):  # bool excluded
+        raise DatasetFormatError(
+            f"{where}: 'num_frames' must be an integer >= 1, got {num_frames!r}")
+    fakes = {}
+    for key in ("audio_fake", "visual_fake"):
+        rows = obj.get(key)
+        if not isinstance(rows, list):
+            raise DatasetFormatError(f"{where}: '{key}' must be a JSON array, got {rows!r}")
+        fakes[key] = [segment_from_json(row, f"{where}: {key}[{n}]") for n, row in enumerate(rows)]
     try:
-        return StreamAnnotation(
-            id=obj["id"],
-            num_frames=int(obj["num_frames"]),
-            audio_fake=[Segment(int(s), int(e)) for s, e in obj["audio_fake"]],
-            visual_fake=[Segment(int(s), int(e)) for s, e in obj["visual_fake"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"malformed annotation object: {exc}") from exc
+        return StreamAnnotation(id=clip_id, num_frames=num_frames, **fakes)
+    except ValueError as exc:  # a segment past num_frames, or overlapping segments
+        raise DatasetFormatError(f"{where}: {exc}") from None
 
 
 def save_dataset(path: Path, clips: list[Clip]) -> None:
@@ -317,11 +339,24 @@ def save_dataset(path: Path, clips: list[Clip]) -> None:
         fh.write("\n")
 
 
-def load_annotations(path: Path) -> list[StreamAnnotation]:
-    raw = read_json(path)
+def annotations_from_json(raw, source) -> list[StreamAnnotation]:
+    """Read the annotations file payload: a JSON array of {"id": str,
+    "num_frames": int >= 1, "audio_fake": [[start, end], ...], "visual_fake":
+    [...]} records with unique ids. Anything else raises DatasetFormatError
+    naming `source` and the record index."""
     if not isinstance(raw, list):
-        raise DatasetFormatError(f"{path}: expected a JSON array of annotations")
-    return [annotation_from_dict(obj) for obj in raw]
+        raise DatasetFormatError(f"{source}: expected a JSON array of annotations")
+    anns: dict[str, StreamAnnotation] = {}
+    for k, obj in enumerate(raw):
+        ann = annotation_from_dict(obj, f"{source}: record {k}")
+        if ann.id in anns:
+            raise DatasetFormatError(f"{source}: record {k}: duplicate id {ann.id!r}")
+        anns[ann.id] = ann
+    return list(anns.values())
+
+
+def load_annotations(path: Path) -> list[StreamAnnotation]:
+    return annotations_from_json(read_json(path), path)
 
 
 def load_dataset(path: Path) -> list[Clip]:

@@ -1,9 +1,11 @@
 """Turn model outputs into scored segment proposals.
 
-Pipeline per clip: align the backward probability triplet to forward time
-(reverse, swap start/end), fuse both directions by elementwise geometric
-mean, score every in-range candidate from the boundary map and the fused
-sequences, then Soft-NMS with Gaussian score decay and top-k retention.
+Pipeline per clip: align the backward [T, 3] probability triplet (columns
+start, end, content, the frame head's layout) to forward time (reverse
+rows, swap the start and end columns), fuse both directions by elementwise
+geometric mean, score every in-range candidate from the [L, T] boundary
+map and the fused triplet, then Soft-NMS with Gaussian score decay and
+top-k retention.
 Scoring and Soft-NMS pass one float64 [P, 3] array of (start, end, score)
 rows, the layout of the predictions file; `pipeline.predict_clip` turns
 the kept rows into ScoredProposal objects. All numpy; no autodiff
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, Segment, finite_float, interval_iou
-from .labels import ProbTriplet, in_range_mask
+from .data import DatasetFormatError, Segment, finite_float, interval_iou, segment_from_json
+from .labels import in_range_mask
 
 
 @dataclass(frozen=True)
@@ -44,51 +46,42 @@ class InferenceConfig:
             raise ValueError("infer.d_f: must be > 0")
 
 
-def align_backward(bwd: ProbTriplet) -> ProbTriplet:
-    """Re-express a backward-direction triplet in forward time.
+def align_backward(bwd: np.ndarray) -> np.ndarray:
+    """Re-express a backward-direction [T, 3] triplet in forward time.
 
     Reversing time swaps onset and offset roles, so the backward start
-    sequence becomes the forward end sequence and vice versa; content only
+    column becomes the forward end column and vice versa; content only
     reverses.
     """
-    return ProbTriplet(
-        start=bwd.end[::-1].copy(),
-        end=bwd.start[::-1].copy(),
-        content=bwd.content[::-1].copy(),
-    )
+    return bwd[::-1, [1, 0, 2]]
 
 
-def fuse_bidirectional(fwd: ProbTriplet, bwd: ProbTriplet) -> ProbTriplet:
-    if fwd.start.shape != bwd.start.shape:
-        raise ValueError(
-            f"fuse: sequence lengths differ, {fwd.start.shape[0]} vs {bwd.start.shape[0]}"
-        )
-    aligned = align_backward(bwd)
-    return ProbTriplet(
-        start=np.sqrt(fwd.start * aligned.start),
-        end=np.sqrt(fwd.end * aligned.end),
-        content=np.sqrt(fwd.content * aligned.content),
-    )
+def fuse_bidirectional(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """Elementwise geometric mean of the forward and aligned backward triplets."""
+    if fwd.shape != (len(fwd), 3) or bwd.shape != fwd.shape:
+        raise ValueError(f"fuse: expected two (T, 3) triplets of equal lengths, "
+                         f"got {fwd.shape} and {bwd.shape}")
+    return np.sqrt(fwd * align_backward(bwd))
 
 
-def score_proposals(boundary_map: np.ndarray, probs: ProbTriplet) -> np.ndarray:
+def score_proposals(boundary_map: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Score every in-range candidate (start j, duration i+1) as a float64 [P, 3] array.
 
-    Rows are (start, end, score), duration-major then start, with
+    `probs` is a [T, 3] start / end / content triplet. Rows are
+    (start, end, score), duration-major then start, with
     score = map[i, j] * start[j] * end[j+i] * mean(content[j .. j+i]);
     j+i is the last frame of the candidate and the content mean includes
     both endpoint frames.
     """
     max_duration, t = boundary_map.shape
-    if probs.start.shape[0] != t:
-        raise ValueError(
-            f"score: boundary map has {t} start positions but sequences have "
-            f"{probs.start.shape[0]}"
-        )
-    csum = np.concatenate([[0.0], np.cumsum(probs.content)])
+    if probs.shape != (t, 3):
+        raise ValueError(f"score: expected a ({t}, 3) triplet for the boundary map's {t} "
+                         f"start positions, got {probs.shape}")
+    start, end, content = probs.T
+    csum = np.concatenate([[0.0], np.cumsum(content)])
     i, j = np.nonzero(in_range_mask(max_duration, t))
     content_mean = (csum[j + i + 1] - csum[j]) / (i + 1)
-    scores = boundary_map[i, j] * probs.start[j] * probs.end[j + i] * content_mean
+    scores = boundary_map[i, j] * start[j] * end[j + i] * content_mean
     return np.column_stack([j, j + i + 1, scores]).astype(np.float64, copy=False)
 
 
@@ -156,8 +149,4 @@ def predictions_from_json(raw, source) -> dict[str, list[ScoredProposal]]:
 def _proposal_from_row(row, where: str) -> ScoredProposal:
     if not (isinstance(row, list) and len(row) == 3):
         raise DatasetFormatError(f"{where}: expected [start, end, score], got {row!r}")
-    start, end, score = row
-    if not (type(start) is int and type(end) is int and 0 <= start < end):  # bool excluded
-        raise DatasetFormatError(
-            f"{where}: expected integer frames 0 <= start < end, got {row!r}")
-    return ScoredProposal(Segment(start, end), finite_float(score, f"{where} score"))
+    return ScoredProposal(segment_from_json(row[:2], where), finite_float(row[2], f"{where} score"))

@@ -1,13 +1,15 @@
 """Supervision targets derived from fake-segment annotations.
 
-Three target families, all over the union-merge of audio and visual fake
-segments (a frame is fake if either modality is manipulated there):
+Every target is a plain float64 array in the layout of the head it
+supervises, built over the union-merge of audio and visual fake segments
+(a frame is fake if either modality is manipulated there):
 
-* frame labels: per-frame 0/1 fake indicator;
-* boundary map: an [L, T] grid where cell (i, j) holds the best IoU between
-  the candidate segment [j, j+i+1) and any fake segment;
-* probability triplets: per-frame start / end / content soft labels built
-  from interval overlaps, for the forward and the time-reversed stream.
+* frame labels, [T]: per-frame 0/1 fake indicator;
+* boundary map, [L, T]: cell (i, j) holds the best IoU between the
+  candidate segment [j, j+i+1) and any fake segment;
+* probability triplet, [T, 3] with columns start, end, content: per-frame
+  soft labels built from interval overlaps, for the forward and the
+  time-reversed stream.
 
 Interval conventions: the anchor for frame t is the frame itself, [t, t+1].
 Start and end regions have duration d_f and are centered on the centers of
@@ -15,47 +17,14 @@ the first and last fake frame (s + 0.5 and e - 0.5 for a segment [s, e));
 the content region is [s, e]. The label is the largest
 intersection-over-anchor against any region. This grid is symmetric under
 time reversal, so the backward triplet is exactly the reversed forward
-triplet with start and end swapped.
+triplet with the start and end columns swapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Segment, StreamAnnotation, interval_iou
-
-
-@dataclass
-class FrameLabels:
-    """Per-frame fake indicator: y[t] = 1 iff frame t is manipulated in any modality."""
-
-    y: np.ndarray  # [T] float64 of {0, 1}
-
-
-@dataclass
-class BoundaryMap:
-    """[L, T] grid of per-candidate values; cells with j + i + 1 > T are 0 and masked."""
-
-    values: np.ndarray  # [L, T] float64 in [0, 1]
-
-    @property
-    def max_duration(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class ProbTriplet:
-    """Per-frame start / end / content soft labels in [0, 1] for one direction."""
-
-    start: np.ndarray
-    end: np.ndarray
-    content: np.ndarray
 
 
 def merge_segments(ann: StreamAnnotation) -> list[Segment]:
@@ -76,11 +45,12 @@ def reflect_segments(segments: list[Segment], num_frames: int) -> list[Segment]:
     return sorted(Segment(num_frames - s.end, num_frames - s.start) for s in segments)
 
 
-def build_frame_labels(ann: StreamAnnotation) -> FrameLabels:
+def build_frame_labels(ann: StreamAnnotation) -> np.ndarray:
+    """[T] fake indicator: y[t] = 1 iff frame t is manipulated in any modality."""
     y = np.zeros(ann.num_frames)
     for seg in merge_segments(ann):
         y[seg.start:seg.end] = 1.0
-    return FrameLabels(y=y)
+    return y
 
 
 def in_range_mask(max_duration: int, num_frames: int) -> np.ndarray:
@@ -90,8 +60,9 @@ def in_range_mask(max_duration: int, num_frames: int) -> np.ndarray:
     return j + i + 1 <= num_frames
 
 
-def build_boundary_map(ann: StreamAnnotation, max_duration: int) -> BoundaryMap:
-    """Best IoU of each candidate [j, j+i+1) against the merged fake segments."""
+def build_boundary_map(ann: StreamAnnotation, max_duration: int) -> np.ndarray:
+    """[L, T] best IoU of each candidate [j, j+i+1) against the merged fake
+    segments; cells with j + i + 1 > T are 0."""
     if max_duration < 1:
         raise ValueError(f"max_duration must be >= 1, got {max_duration}")
     t = ann.num_frames
@@ -101,18 +72,19 @@ def build_boundary_map(ann: StreamAnnotation, max_duration: int) -> BoundaryMap:
     for seg in merge_segments(ann):
         np.maximum(values, interval_iou(starts, ends, seg.start, seg.end), out=values)
     values[~in_range_mask(max_duration, t)] = 0.0
-    return BoundaryMap(values=values)
+    return values
 
 
-def _overlap_with_frames(t: int, lo: float, hi: float) -> np.ndarray:
-    """Length of [lo, hi] intersected with each frame [q, q+1), q = 0..T-1."""
-    q = np.arange(t, dtype=np.float64)
+def _overlap_with_frames(t: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """[T, K]: length of [lo[k], hi[k]] intersected with each frame [q, q+1)."""
+    q = np.arange(t, dtype=np.float64)[:, None]
     return np.clip(np.minimum(q + 1.0, hi) - np.maximum(q, lo), 0.0, None)
 
 
 def build_prob_triplet(
     ann: StreamAnnotation, d_f: float = 1.0, direction: str = "forward"
-) -> ProbTriplet:
+) -> np.ndarray:
+    """[T, 3] start / end / content soft labels in [0, 1] for one direction."""
     if d_f <= 0:
         raise ValueError(f"d_f must be positive, got {d_f}")
     if direction not in ("forward", "backward"):
@@ -121,37 +93,26 @@ def build_prob_triplet(
     segments = merge_segments(ann)
     if direction == "backward":
         segments = reflect_segments(segments, t)
-    start = np.zeros(t)
-    end = np.zeros(t)
-    content = np.zeros(t)
+    trip = np.zeros((t, 3))
     half = d_f / 2.0
-    for seg in segments:
-        c_start = seg.start + 0.5
-        c_end = seg.end - 0.5
-        np.maximum(start, _overlap_with_frames(t, c_start - half, c_start + half), out=start)
-        np.maximum(end, _overlap_with_frames(t, c_end - half, c_end + half), out=end)
-        np.maximum(content, _overlap_with_frames(t, seg.start, seg.end), out=content)
-    return ProbTriplet(start=start, end=end, content=content)
+    for seg in segments:  # regions: start, end (centered on the edge frames), content
+        lo = np.array([seg.start + 0.5 - half, seg.end - 0.5 - half, seg.start])
+        hi = np.array([seg.start + 0.5 + half, seg.end - 0.5 + half, seg.end])
+        np.maximum(trip, _overlap_with_frames(t, lo, hi), out=trip)
+    return trip
 
 
 def labels_to_dict(ann: StreamAnnotation, max_duration: int, d_f: float = 1.0) -> dict:
     """JSON-friendly dump of every supervision target for one clip."""
-    fwd = build_prob_triplet(ann, d_f, "forward")
-    bwd = build_prob_triplet(ann, d_f, "backward")
+    fwd = build_prob_triplet(ann, d_f, "forward").T.tolist()
+    bwd = build_prob_triplet(ann, d_f, "backward").T.tolist()
+    columns = ("start", "end", "content")
     return {
         "id": ann.id,
         "num_frames": ann.num_frames,
         "merged_fake": [s.to_list() for s in merge_segments(ann)],
-        "frame_labels": build_frame_labels(ann).y.tolist(),
-        "boundary_map": build_boundary_map(ann, max_duration).values.tolist(),
-        "prob_forward": {
-            "start": fwd.start.tolist(),
-            "end": fwd.end.tolist(),
-            "content": fwd.content.tolist(),
-        },
-        "prob_backward": {
-            "start": bwd.start.tolist(),
-            "end": bwd.end.tolist(),
-            "content": bwd.content.tolist(),
-        },
+        "frame_labels": build_frame_labels(ann).tolist(),
+        "boundary_map": build_boundary_map(ann, max_duration).tolist(),
+        "prob_forward": dict(zip(columns, fwd)),
+        "prob_backward": dict(zip(columns, bwd)),
     }

@@ -8,9 +8,10 @@ Three terms combined as alpha * contrastive + boundary-map MSE + focal sum:
   per-frame distance);
 * a masked MSE between the predicted and target boundary maps, averaged
   over in-range cells only;
-* a class-balanced focal loss on each of the six start / end / content
-  sequences (forward and backward), sliced from the columns of the frame
-  head's [T, 3] output.
+* a class-balanced focal loss on the frame head's [T, 3] start / end /
+  content output of each direction.
+
+Targets are plain float64 arrays in the heads' layouts (see `labels`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .labels import BoundaryMap, FrameLabels, ProbTriplet
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,15 @@ def contrastive_loss(
     f_va_fwd: Tensor,
     f_av_bwd: Tensor,
     f_va_bwd: Tensor,
-    frame_labels: FrameLabels,
+    y: np.ndarray,
     cfg: LossConfig,
 ) -> Tensor:
-    """Margin contrastive loss over per-frame cross-modal distances.
+    """Margin contrastive loss over per-frame cross-modal distances, y the [T] labels.
 
     The backward-direction distance is re-indexed to forward time before
     pairing with the labels, so frame t always compares against y[t].
     """
-    y = np.asarray(frame_labels.y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != f_av_fwd.shape[0]:
         raise ad.ShapeError(
             f"contrastive: labels length {y.shape[0]} vs features {f_av_fwd.shape[0]}"
@@ -79,17 +79,17 @@ def contrastive_loss(
     return ad.mean(pull + push)
 
 
-def boundary_map_loss(pred: Tensor, target: BoundaryMap, mask: np.ndarray) -> Tensor:
-    """MSE over in-range boundary-map cells only."""
-    if pred.shape != target.values.shape or pred.shape != mask.shape:
+def boundary_map_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
+    """MSE over in-range boundary-map cells only; pred, target and mask are [L, T]."""
+    if pred.shape != target.shape or pred.shape != mask.shape:
         raise ad.ShapeError(
             f"boundary map loss: shapes differ, pred {pred.shape}, "
-            f"target {target.values.shape}, mask {mask.shape}"
+            f"target {target.shape}, mask {mask.shape}"
         )
     count = int(mask.sum())
     if count == 0:
         raise ValueError("boundary map loss: mask selects no cells")
-    diff = pred - Tensor(target.values)
+    diff = pred - Tensor(target)
     masked = ad.mul(ad.mul(diff, diff), Tensor(mask.astype(np.float64)))
     return ad.scalar_mul(ad.mean(masked), masked.size / count)
 
@@ -118,22 +118,18 @@ def focal_loss(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
 def frame_prob_loss(
     pred_fwd: Tensor,
     pred_bwd: Tensor,
-    true_fwd: ProbTriplet,
-    true_bwd: ProbTriplet,
+    true_fwd: np.ndarray,
+    true_bwd: np.ndarray,
     cfg: LossConfig,
 ) -> Tensor:
-    """Sum of the six focal terms (start/end/content, both directions).
+    """Sum of the six per-column focal terms (start/end/content, both directions).
 
-    Each prediction is a [T, 3] tensor with columns start, end, content.
+    Predictions and targets are [T, 3] with columns start, end, content. The
+    focal term is elementwise, so three times its mean over all 3T elements
+    is the sum of the three column means.
     """
-    total = None
-    for pred, true in ((pred_fwd, true_fwd), (pred_bwd, true_bwd)):
-        t = pred.shape[0]
-        for k, channel in enumerate(("start", "end", "content")):
-            column = ad.reshape(ad.slice_axis(pred, 1, k, k + 1), (t,))
-            term = focal_loss(column, getattr(true, channel), cfg)
-            total = term if total is None else total + term
-    return total
+    both = focal_loss(pred_fwd, true_fwd, cfg) + focal_loss(pred_bwd, true_bwd, cfg)
+    return ad.scalar_mul(both, 3.0)
 
 
 def total_loss(contrastive: Tensor, boundary: Tensor, frame: Tensor, cfg: LossConfig) -> Tensor:

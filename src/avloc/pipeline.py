@@ -1,9 +1,9 @@
 """Dataset-level orchestration shared by the CLI and the experiment scripts.
 
 The model's frame head emits a [T, 3] tensor per direction (columns start,
-end, content); inference reads its columns as a numpy ProbTriplet. Scoring
-and Soft-NMS work on [P, 3] (start, end, score) arrays; `predict_clip`
-returns the kept rows as ScoredProposal objects.
+end, content); fusion and scoring read its data array as is. Scoring and
+Soft-NMS work on [P, 3] (start, end, score) arrays; `predict_clip` returns
+the kept rows as ScoredProposal objects.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .inference import (
     score_proposals,
     soft_nms,
 )
-from .labels import ProbTriplet, merge_segments
+from .labels import merge_segments
 from .model import Model
 
 
@@ -33,11 +33,9 @@ def predict_clip(
         raise ValueError(f"unknown fusion mode {fusion!r}")
     stream, _ = clip
     out = model.forward_full(stream)
-    fwd = ProbTriplet(*out.probs_fwd.data.T)
+    probs = out.probs_fwd.data
     if fusion == "both":
-        probs = fuse_bidirectional(fwd, ProbTriplet(*out.probs_bwd.data.T))
-    else:
-        probs = fwd
+        probs = fuse_bidirectional(probs, out.probs_bwd.data)
     kept = soft_nms(score_proposals(out.boundary_map.data, probs), infer_cfg)
     return [ScoredProposal(Segment(int(s), int(e)), x) for s, e, x in kept.tolist()]
 

@@ -1,10 +1,13 @@
 """Training loop: per-clip losses, SGD/Adam steps, plateau learning-rate halving.
 
-Supervision targets are precomputed once per clip. Each optimization step
-accumulates gradients over a batch of clips, scales by the batch size, and
-applies one parameter update. The learning rate halves whenever validation
-loss has not improved for `patience` consecutive epochs, and the
-best-validation parameters are restored at the end.
+Supervision targets are precomputed once per clip as plain float64 arrays
+in the heads' layouts: frame labels [T], boundary map and its in-range mask
+[L, T], and forward and backward triplets [T, 3] (columns start, end,
+content). Each optimization step accumulates gradients over a batch of
+clips, scales by the batch size, and applies one parameter update. The
+learning rate halves whenever validation loss has not improved for
+`patience` consecutive epochs, and the best-validation parameters are
+restored at the end.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Clip, StreamAnnotation
-from .labels import (
-    BoundaryMap,
-    FrameLabels,
-    ProbTriplet,
-    build_boundary_map,
-    build_frame_labels,
-    build_prob_triplet,
-    in_range_mask,
-)
+from .labels import build_boundary_map, build_frame_labels, build_prob_triplet, in_range_mask
 from .losses import (
     LossConfig,
     boundary_map_loss,
@@ -57,11 +52,11 @@ class OptimConfig:
 
 @dataclass
 class ClipTargets:
-    frame_labels: FrameLabels
-    boundary: BoundaryMap
-    mask: np.ndarray
-    trip_fwd: ProbTriplet
-    trip_bwd: ProbTriplet
+    frame_labels: np.ndarray  # [T]
+    boundary: np.ndarray      # [L, T]
+    mask: np.ndarray          # [L, T] bool
+    trip_fwd: np.ndarray      # [T, 3]
+    trip_bwd: np.ndarray      # [T, 3]
 
 
 def build_targets(ann: StreamAnnotation, max_duration: int, d_f: float) -> ClipTargets:

@@ -20,7 +20,7 @@ from avloc.inference import (
     score_proposals,
     soft_nms,
 )
-from avloc.labels import ProbTriplet, build_boundary_map, build_prob_triplet
+from avloc.labels import build_boundary_map, build_prob_triplet
 from oracles import (
     brute_force_ap,
     brute_force_boundary_map,
@@ -75,7 +75,7 @@ def test_criterion_2_label_oracles():
         max_dur = int(rng.integers(1, 9))
         d_f = float(rng.choice([0.5, 1.0, 2.0]))
         ann = random_annotation(rng, t, clip_id=f"c{k}")
-        got_map = build_boundary_map(ann, max_dur).values
+        got_map = build_boundary_map(ann, max_dur)
         want_map = brute_force_boundary_map(ann, max_dur)
         worst = max(worst, float(np.abs(got_map - want_map).max()))
         for direction in ("forward", "backward"):
@@ -83,9 +83,9 @@ def test_criterion_2_label_oracles():
             start, end, content = brute_force_triplet(ann, d_f, direction)
             worst = max(
                 worst,
-                float(np.abs(trip.start - start).max()),
-                float(np.abs(trip.end - end).max()),
-                float(np.abs(trip.content - content).max()),
+                float(np.abs(trip[:, 0] - start).max()),
+                float(np.abs(trip[:, 1] - end).max()),
+                float(np.abs(trip[:, 2] - content).max()),
             )
     _report(
         "criterion-2",
@@ -105,9 +105,9 @@ def test_criterion_3_flip_consistency():
         ann = random_annotation(rng, t, clip_id=f"f{k}")
         fwd = build_prob_triplet(ann, d_f, "forward")
         bwd = build_prob_triplet(ann, d_f, "backward")
-        exact = exact and np.array_equal(bwd.start, fwd.end[::-1]) \
-            and np.array_equal(bwd.end, fwd.start[::-1]) \
-            and np.array_equal(bwd.content, fwd.content[::-1])
+        exact = exact and np.array_equal(bwd[:, 0], fwd[:, 1][::-1]) \
+            and np.array_equal(bwd[:, 1], fwd[:, 0][::-1]) \
+            and np.array_equal(bwd[:, 2], fwd[:, 2][::-1])
     _report(
         "criterion-3",
         exact,
@@ -127,10 +127,9 @@ def test_criterion_4_inference_oracles():
         t = int(rng.integers(4, 33))
         max_dur = int(rng.integers(1, 9))
         bmap = rng.uniform(0, 1, (max_dur, t))
-        probs = ProbTriplet(start=rng.uniform(0, 1, t), end=rng.uniform(0, 1, t),
-                            content=rng.uniform(0, 1, t))
+        probs = rng.uniform(0, 1, (3, t)).T
         got = {(int(s), int(e)): x for s, e, x in score_proposals(bmap, probs).tolist()}
-        want = brute_force_scores(bmap, probs.start, probs.end, probs.content)
+        want = brute_force_scores(bmap, probs[:, 0], probs[:, 1], probs[:, 2])
         ok = ok and got.keys() == want.keys()
         worst = max(worst, max(abs(got[k] - want[k]) for k in want))
     ok = ok and worst <= 1e-9
@@ -153,16 +152,14 @@ def test_criterion_4_inference_oracles():
     ok = ok and nms_ok
     detail.append("soft-nms == step-by-step simulation (<=6 proposals)")
 
-    trip = ProbTriplet(start=rng.uniform(0, 1, 16), end=rng.uniform(0, 1, 16),
-                       content=rng.uniform(0, 1, 16))
-    mirror = ProbTriplet(start=trip.end[::-1].copy(), end=trip.start[::-1].copy(),
-                         content=trip.content[::-1].copy())
+    trip = rng.uniform(0, 1, (3, 16)).T
+    mirror = np.column_stack([trip[::-1, 1], trip[::-1, 0], trip[::-1, 2]])
     fused = fuse_bidirectional(trip, mirror)
-    idem = (np.allclose(fused.start, trip.start, atol=1e-15)
-            and np.allclose(fused.end, trip.end, atol=1e-15)
-            and np.allclose(fused.content, trip.content, atol=1e-15))
-    vetoed = ProbTriplet(start=np.zeros(16), end=np.zeros(16), content=np.zeros(16))
-    veto = not np.any(fuse_bidirectional(trip, vetoed).start)
+    idem = (np.allclose(fused[:, 0], trip[:, 0], atol=1e-15)
+            and np.allclose(fused[:, 1], trip[:, 1], atol=1e-15)
+            and np.allclose(fused[:, 2], trip[:, 2], atol=1e-15))
+    vetoed = np.zeros((16, 3))
+    veto = not np.any(fuse_bidirectional(trip, vetoed)[:, 0])
     ok = ok and idem and veto
     detail.append("fusion sqrt(p*p)=p and zero-veto hold")
     _report("criterion-4", ok, "; ".join(detail))

@@ -98,11 +98,6 @@ def test_log_rejects_nonpositive():
         ad.log(Tensor([0.0, 1.0]))
 
 
-def test_slice_rejects_bad_range():
-    with pytest.raises(ShapeError, match="slice"):
-        ad.slice_axis(Tensor(rand(3, 4)), 1, 2, 9)
-
-
 def test_max_pool_ties_route_to_lowest_index():
     x = Tensor(np.array([[1.0], [1.0]]), requires_grad=True)
     ad.mean(ad.max_pool1d(x)).backward()
@@ -174,7 +169,6 @@ OP_CASES = {
     "max_pool1d": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (6, 4)),
     "upsample1d": lambda: ((lambda x: _sq_mean(ad.upsample1d(x))), (4, 3)),
     "concat": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.concat([x, c], axis=1))), (4, 4)),
-    "slice": lambda: ((lambda x: _sq_mean(ad.slice_axis(x, 1, 1, 3))), (4, 4)),
     "transpose": lambda: ((lambda x: _sq_mean(ad.transpose(x))), (4, 4)),
     "reshape": lambda: ((lambda x: _sq_mean(ad.reshape(x, (16,)))), (4, 4)),
     "flip": lambda: ((lambda x: _sq_mean(ad.flip(x, axis=0))), (4, 4)),

@@ -93,6 +93,21 @@ def test_boolean_float_config_field_exits_1(dataset, tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("infer", "sigma", float("nan")),
+    ("optim", "learning_rate", float("inf")),
+    ("loss", "margin", float("nan")),
+])
+def test_non_finite_float_config_field_exits_1(dataset, tmp_path, capsys, section, field, value):
+    path = tmp_path / "bad.json"  # json.dumps writes the NaN / Infinity literals
+    path.write_text(json.dumps(dict(TINY_CONFIG, **{section: {field: value}})))
+    assert main(["train", "--config", str(path), "--data", str(dataset),
+                 "--out", str(tmp_path / "model.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{field}: expected a finite number" in err and "Traceback" not in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_usage_error_exits_1():
     assert main(["synth"]) == 1          # missing --out
     assert main(["no-such-command"]) == 1
@@ -167,6 +182,46 @@ def test_malformed_manifest_exits_2_without_traceback(dataset, config_path, tmp_
                  "--out", str(tmp_path / "model.ckpt")]) == 2
     err = capsys.readouterr().err
     assert str(manifest) in err and "Traceback" not in err
+
+
+def test_non_finite_feature_value_exits_2(dataset, config_path, tmp_path, capsys):
+    features = sorted((dataset / "train" / "features").glob("*.bin"))[0]
+    data = bytearray(features.read_bytes())
+    data[20 + 4 * 5:20 + 4 * 6] = b"\x00\x00\xc0\x7f"  # float32 NaN in audio frame 1
+    features.write_bytes(bytes(data))
+    assert main(["train", "--config", config_path, "--data", str(dataset),
+                 "--out", str(tmp_path / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"{features}: non-finite audio feature value at frame 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda anns: [anns[0], dict(anns[1], id=["x"])], "record 1: 'id' must be a string"),
+    (lambda anns: [anns[0], dict(anns[1], id=anns[0]["id"])], "record 1: duplicate id"),
+    (lambda anns: [dict(anns[0], num_frames=12.7)],
+     "record 0: 'num_frames' must be an integer >= 1"),
+    (lambda anns: [dict(anns[0], visual_fake=[[True, 3]])],
+     "record 0: visual_fake[0]: expected integer frames"),
+], ids=["id-list", "duplicate-id", "frames-fraction", "start-bool"])
+@pytest.mark.parametrize("command", ["eval", "labels"])
+def test_malformed_annotations_exit_2_without_traceback(dataset, config_path, tmp_path, capsys,
+                                                        command, mutate, message):
+    path = dataset / "test" / "annotations.json"
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    out = tmp_path / "out.json"
+    if command == "eval":
+        pred = tmp_path / "pred.json"
+        pred.write_text("[]")
+        argv = ["eval", "--pred", str(pred), "--data", str(dataset / "test"), "--out", str(out)]
+    else:
+        argv = ["labels", "--config", config_path, "--data", str(dataset / "test"),
+                "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_rejects_malformed_predictions(dataset, tmp_path):

@@ -87,6 +87,18 @@ def test_float_fields_reject_bools_and_non_numbers(raw, field):
         run_config_from_dict(raw)
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"infer": {"sigma": float("nan")}}, "infer.sigma"),
+    ({"optim": {"learning_rate": float("inf")}}, "optim.learning_rate"),
+    ({"loss": {"margin": float("nan")}}, "loss.margin"),
+    ({"synth": {"noise": float("-inf")}}, "synth.noise"),
+    ({"loss": {"alpha": 10**400}}, "loss.alpha"),
+])
+def test_float_fields_reject_non_finite_values(raw, field):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected a finite number"):
+        run_config_from_dict(raw)
+
+
 def test_float_fields_accept_integers():
     cfg = run_config_from_dict({"optim": {"learning_rate": 1}, "infer": {"sigma": 2}})
     assert cfg.optim.learning_rate == 1 and cfg.infer.sigma == 2

@@ -10,8 +10,11 @@ from avloc.data import (
     Segment,
     StreamAnnotation,
     SynthConfig,
+    annotations_from_json,
     generate_dataset,
+    load_annotations,
     load_dataset,
+    read_feature_file,
     save_dataset,
 )
 
@@ -182,6 +185,26 @@ def test_version_mismatch_is_error(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("modality, frame, value", [
+    ("audio", 0, np.nan), ("audio", 17, np.inf), ("visual", 31, -np.inf),
+])
+def test_non_finite_feature_value_is_parse_error(tmp_path, modality, frame, value):
+    clips = generate_dataset(SMALL, seed=2)
+    save_dataset(tmp_path / "d", clips)
+    victim = tmp_path / "d" / "features" / f"{clips[0][1].id}.bin"
+    data = bytearray(victim.read_bytes())
+    offset = 20 + 4 * (frame * SMALL.d_audio + 1)  # column 1 of `frame`
+    if modality == "visual":
+        offset = 20 + 4 * (SMALL.num_frames * SMALL.d_audio + frame * SMALL.d_visual + 1)
+    data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+    victim.write_bytes(bytes(data))
+    message = f"{victim}: non-finite {modality} feature value at frame {frame}$"
+    with pytest.raises(DatasetFormatError, match=message):
+        read_feature_file(victim)
+    with pytest.raises(DatasetFormatError, match=message):
+        load_dataset(tmp_path / "d")
+
+
 def test_malformed_annotations_json_is_parse_error(tmp_path):
     clips = generate_dataset(SMALL, seed=2)
     save_dataset(tmp_path / "d", clips)
@@ -223,3 +246,99 @@ def test_malformed_manifest_names_the_file(tmp_path, fault):
     with pytest.raises(DatasetFormatError, match=message) as err:
         load_dataset(tmp_path / "d")
     assert str(manifest) in str(err.value)
+
+
+# -- annotations file ----------------------------------------------------------
+
+GOOD_RECORD = {"id": "a", "num_frames": 12, "audio_fake": [[0, 4]], "visual_fake": [[1, 3]]}
+
+
+def record(**changes):
+    return dict(GOOD_RECORD, **changes)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"id": "a"}, "expected a JSON array of annotations"),
+    ([5], r"record 0: expected a JSON object"),
+    ([record(id=["x"])], r"record 0: 'id' must be a string"),
+    ([{k: v for k, v in GOOD_RECORD.items() if k != "id"}], r"record 0: 'id' must be a string"),
+    ([record(), record()], r"record 1: duplicate id 'a'"),
+    ([record(num_frames=12.7)], r"record 0: 'num_frames' must be an integer >= 1"),
+    ([record(num_frames=12.0)], r"record 0: 'num_frames' must be an integer >= 1"),
+    ([record(num_frames=-3)], r"record 0: 'num_frames' must be an integer >= 1"),
+    ([record(num_frames=0)], r"record 0: 'num_frames' must be an integer >= 1"),
+    ([record(num_frames=True)], r"record 0: 'num_frames' must be an integer >= 1"),
+    ([record(num_frames="12")], r"record 0: 'num_frames' must be an integer >= 1"),
+    ([record(audio_fake={"0": 4})], r"record 0: 'audio_fake' must be a JSON array"),
+    ([{k: v for k, v in GOOD_RECORD.items() if k != "visual_fake"}],
+     r"record 0: 'visual_fake' must be a JSON array"),
+    ([record(audio_fake=[[0.7, 4]])], r"record 0: audio_fake\[0\]: expected integer frames"),
+    ([record(visual_fake=[[True, 3]])], r"record 0: visual_fake\[0\]: expected integer frames"),
+    ([record(audio_fake=[[0, 4, 5]])], r"record 0: audio_fake\[0\]: expected integer frames"),
+    ([record(audio_fake=[4])], r"record 0: audio_fake\[0\]: expected integer frames"),
+    ([record(audio_fake=[[4, 4]])], r"record 0: audio_fake\[0\]: expected integer frames"),
+    ([record(audio_fake=[[-1, 4]])], r"record 0: audio_fake\[0\]: expected integer frames"),
+    ([record(audio_fake=[[0, 13]])], r"record 0: .*exceeds num_frames=12"),
+    ([record(audio_fake=[[0, 4], [3, 6]])], r"record 0: .*overlap or are unsorted"),
+], ids=[
+    "root-object", "record-not-object", "id-list", "id-missing", "duplicate-id",
+    "frames-fraction", "frames-float", "frames-negative", "frames-zero", "frames-bool",
+    "frames-string", "segments-object", "segments-missing", "start-fraction",
+    "start-bool", "row-long", "row-not-list", "empty-segment", "negative-start",
+    "past-num-frames", "overlapping",
+])
+def test_annotations_reader_rejects_malformed_records(tmp_path, raw, message):
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DatasetFormatError, match=message) as err:
+        load_annotations(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_annotations_reader_accepts_valid_records():
+    raw = [record(), record(id="b", audio_fake=[], visual_fake=[])]
+    anns = annotations_from_json(raw, "a.json")
+    assert [a.id for a in anns] == ["a", "b"]
+    assert anns[0].num_frames == 12
+    assert anns[0].audio_fake == [Segment(0, 4)] and anns[0].visual_fake == [Segment(1, 3)]
+    assert anns[1].audio_fake == [] and anns[1].visual_fake == []
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    _json_containers,
+    max_leaves=12,
+)
+# Near-valid payloads, so that the segment and annotation checks are reached too.
+SEGMENT_ROWS = st.lists(
+    st.lists(st.integers(-1, 14) | st.floats(-1, 14) | JSON_VALUES, min_size=1, max_size=3),
+    max_size=3,
+) | JSON_VALUES
+RECORDS = st.lists(
+    st.fixed_dictionaries({
+        "id": st.sampled_from(["a", "b"]) | JSON_VALUES,
+        "num_frames": st.integers(-1, 14) | JSON_VALUES,
+        "audio_fake": SEGMENT_ROWS,
+        "visual_fake": SEGMENT_ROWS,
+    }),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=JSON_VALUES | RECORDS)
+def test_annotations_reader_raises_only_dataset_format_error(raw):
+    try:
+        anns = annotations_from_json(raw, "a.json")
+    except DatasetFormatError:
+        return
+    assert len({a.id for a in anns}) == len(anns)
+    for a in anns:
+        assert type(a.id) is str and type(a.num_frames) is int and a.num_frames >= 1
+        for seg in a.audio_fake + a.visual_fake:
+            assert type(seg.start) is int and type(seg.end) is int
+            assert 0 <= seg.start < seg.end <= a.num_frames

@@ -17,49 +17,44 @@ from avloc.inference import (
     score_proposals,
     soft_nms,
 )
-from avloc.labels import ProbTriplet, build_prob_triplet
+from avloc.labels import build_prob_triplet
 from oracles import brute_force_scores, brute_force_soft_nms, random_annotation
 
 RNG = np.random.default_rng(404)
 
 
 def rand_triplet(t, rng):
-    return ProbTriplet(
-        start=rng.uniform(0, 1, t), end=rng.uniform(0, 1, t),
-        content=rng.uniform(0, 1, t),
-    )
+    """[T, 3] start / end / content, drawn column by column."""
+    return rng.uniform(0, 1, (3, t)).T
 
 
 # -- fusion -----------------------------------------------------------------
 
 def test_fuse_self_is_identity():
     trip = rand_triplet(10, np.random.default_rng(1))
-    mirrored = ProbTriplet(
-        start=trip.end[::-1].copy(), end=trip.start[::-1].copy(),
-        content=trip.content[::-1].copy(),
-    )
+    mirrored = np.column_stack([trip[::-1, 1], trip[::-1, 0], trip[::-1, 2]])
     fused = fuse_bidirectional(trip, mirrored)
-    np.testing.assert_allclose(fused.start, trip.start, atol=1e-15)
-    np.testing.assert_allclose(fused.end, trip.end, atol=1e-15)
-    np.testing.assert_allclose(fused.content, trip.content, atol=1e-15)
+    np.testing.assert_allclose(fused[:, 0], trip[:, 0], atol=1e-15)
+    np.testing.assert_allclose(fused[:, 1], trip[:, 1], atol=1e-15)
+    np.testing.assert_allclose(fused[:, 2], trip[:, 2], atol=1e-15)
 
 
 def test_fuse_geometric_mean_value():
-    fwd = ProbTriplet(start=np.array([0.25]), end=np.array([0.25]), content=np.array([0.25]))
-    bwd = ProbTriplet(start=np.array([1.0]), end=np.array([1.0]), content=np.array([1.0]))
+    fwd = np.full((1, 3), 0.25)
+    bwd = np.ones((1, 3))
     fused = fuse_bidirectional(fwd, bwd)
-    assert fused.start[0] == pytest.approx(0.5)
+    assert fused[0, 0] == pytest.approx(0.5)
 
 
 def test_fuse_zero_vetoes():
     rng = np.random.default_rng(2)
     fwd = rand_triplet(6, rng)
-    fwd.start[3] = 0.0
+    fwd[3, 0] = 0.0
     bwd = rand_triplet(6, rng)
     fused = fuse_bidirectional(fwd, bwd)
-    assert fused.start[3] == 0.0
-    bwd.content[:] = 0.0
-    assert np.all(fuse_bidirectional(fwd, bwd).content == 0.0)
+    assert fused[3, 0] == 0.0
+    bwd[:, 2] = 0.0
+    assert np.all(fuse_bidirectional(fwd, bwd)[:, 2] == 0.0)
 
 
 def test_fuse_commutes_after_alignment():
@@ -68,8 +63,8 @@ def test_fuse_commutes_after_alignment():
     bwd = rand_triplet(8, rng)
     a = fuse_bidirectional(fwd, bwd)
     aligned = align_backward(bwd)
-    b_start = np.sqrt(aligned.start * fwd.start)
-    np.testing.assert_allclose(a.start, b_start, atol=1e-15)
+    b_start = np.sqrt(aligned[:, 0] * fwd[:, 0])
+    np.testing.assert_allclose(a[:, 0], b_start, atol=1e-15)
 
 
 def test_alignment_matches_label_flip_convention():
@@ -77,14 +72,25 @@ def test_alignment_matches_label_flip_convention():
     fwd = build_prob_triplet(ann, 1.0, "forward")
     bwd = build_prob_triplet(ann, 1.0, "backward")
     aligned = align_backward(bwd)
-    np.testing.assert_array_equal(aligned.start, fwd.start)
-    np.testing.assert_array_equal(aligned.end, fwd.end)
-    np.testing.assert_array_equal(aligned.content, fwd.content)
+    np.testing.assert_array_equal(aligned[:, 0], fwd[:, 0])
+    np.testing.assert_array_equal(aligned[:, 1], fwd[:, 1])
+    np.testing.assert_array_equal(aligned[:, 2], fwd[:, 2])
 
 
 def test_fuse_length_mismatch():
     with pytest.raises(ValueError, match="lengths"):
         fuse_bidirectional(rand_triplet(4, RNG), rand_triplet(6, RNG))
+
+
+NON_TRIPLET_SHAPES = [(6,), (6, 2), (6, 4), (3, 6), (6, 3, 1)]
+
+
+@pytest.mark.parametrize("shape", NON_TRIPLET_SHAPES)
+def test_fuse_rejects_non_triplet_shape(shape):
+    good, bad = rand_triplet(6, RNG), np.full(shape, 0.5)
+    for fwd, bwd in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=r"fuse: expected two \(T, 3\) triplets"):
+            fuse_bidirectional(fwd, bwd)
 
 
 # -- proposal scoring --------------------------------------------------------
@@ -98,11 +104,11 @@ def test_score_hand_value():
     t = 4
     bmap = np.zeros((2, t))
     bmap[1, 0] = 0.8  # candidate [0, 2)
-    probs = ProbTriplet(
-        start=np.array([0.9, 0.0, 0.0, 0.0]),
-        end=np.array([0.0, 0.9, 0.0, 0.0]),
-        content=np.array([0.6, 0.4, 0.0, 0.0]),
-    )
+    probs = np.column_stack([
+        [0.9, 0.0, 0.0, 0.0],  # start
+        [0.0, 0.9, 0.0, 0.0],  # end
+        [0.6, 0.4, 0.0, 0.0],  # content
+    ])
     scores = scored(bmap, probs)
     assert scores[(0, 2)] == pytest.approx(0.8 * 0.9 * 0.9 * 0.5)  # = 0.324
 
@@ -111,7 +117,7 @@ def test_score_zero_factor_vetoes():
     rng = np.random.default_rng(5)
     bmap = rng.uniform(0, 1, (3, 6))
     probs = rand_triplet(6, rng)
-    probs.start[2] = 0.0
+    probs[2, 0] = 0.0
     for (start, _), score in scored(bmap, probs).items():
         if start == 2:
             assert score == 0.0
@@ -132,7 +138,7 @@ def test_score_matches_brute_force():
         bmap = rng.uniform(0, 1, (max_dur, t))
         probs = rand_triplet(t, rng)
         got = scored(bmap, probs)
-        want = brute_force_scores(bmap, probs.start, probs.end, probs.content)
+        want = brute_force_scores(bmap, probs[:, 0], probs[:, 1], probs[:, 2])
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == pytest.approx(want[key], abs=1e-12)
@@ -147,7 +153,7 @@ def test_score_rows_follow_brute_force_candidate_order():
         bmap = rng.uniform(0, 1, (max_dur, t))
         probs = rand_triplet(t, rng)
         got = score_proposals(bmap, probs)
-        want = brute_force_scores(bmap, probs.start, probs.end, probs.content)
+        want = brute_force_scores(bmap, probs[:, 0], probs[:, 1], probs[:, 2])
         assert [(s, e) for s, e, _ in got.tolist()] == list(want)
         np.testing.assert_allclose(got[:, 2], list(want.values()), rtol=0, atol=1e-12)
 
@@ -165,6 +171,12 @@ def test_score_and_soft_nms_return_float64_rows():
 def test_score_length_mismatch():
     with pytest.raises(ValueError, match="start positions"):
         score_proposals(np.ones((2, 5)), rand_triplet(6, RNG))
+
+
+@pytest.mark.parametrize("shape", NON_TRIPLET_SHAPES)
+def test_score_rejects_non_triplet_shape(shape):
+    with pytest.raises(ValueError, match=r"score: expected a \(6, 3\) triplet"):
+        score_proposals(np.ones((2, 6)), np.full(shape, 0.5))
 
 
 # -- Soft-NMS ----------------------------------------------------------------

@@ -26,16 +26,16 @@ def ann(t, audio=(), visual=(), clip_id="t"):
 # -- frame labels -----------------------------------------------------------
 
 def test_no_fakes_all_zero():
-    np.testing.assert_array_equal(build_frame_labels(ann(8)).y, np.zeros(8))
+    np.testing.assert_array_equal(build_frame_labels(ann(8)), np.zeros(8))
 
 
 def test_union_of_modalities():
     labels = build_frame_labels(ann(10, audio=[(2, 5)], visual=[(4, 7)]))
-    np.testing.assert_array_equal(labels.y, [0, 0, 1, 1, 1, 1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(labels, [0, 0, 1, 1, 1, 1, 1, 0, 0, 0])
 
 
 def test_full_clip_fake():
-    np.testing.assert_array_equal(build_frame_labels(ann(6, audio=[(0, 6)])).y, np.ones(6))
+    np.testing.assert_array_equal(build_frame_labels(ann(6, audio=[(0, 6)])), np.ones(6))
 
 
 def test_merge_coalesces_touching_segments():
@@ -46,23 +46,23 @@ def test_merge_coalesces_touching_segments():
 # -- boundary map -----------------------------------------------------------
 
 def test_boundary_map_empty():
-    np.testing.assert_array_equal(build_boundary_map(ann(8), 4).values, np.zeros((4, 8)))
+    np.testing.assert_array_equal(build_boundary_map(ann(8), 4), np.zeros((4, 8)))
 
 
 def test_boundary_map_exact_overlap_is_one():
     bm = build_boundary_map(ann(10, audio=[(2, 6)]), 6)
-    assert bm.values[3, 2] == 1.0  # duration index 3 = 4 frames starting at 2
+    assert bm[3, 2] == 1.0  # duration index 3 = 4 frames starting at 2
 
 
 def test_boundary_map_partial_overlap_value():
     bm = build_boundary_map(ann(10, audio=[(2, 6)]), 6)
-    assert bm.values[3, 0] == pytest.approx(2.0 / 6.0)  # [0,4) vs [2,6)
+    assert bm[3, 0] == pytest.approx(2.0 / 6.0)  # [0,4) vs [2,6)
 
 
 def test_out_of_range_cells_are_zero():
     bm = build_boundary_map(ann(6, audio=[(0, 6)]), 6)
     mask = in_range_mask(6, 6)
-    assert np.all(bm.values[~mask] == 0.0)
+    assert np.all(bm[~mask] == 0.0)
     assert mask.sum() == sum(6 - i for i in range(6))
 
 
@@ -73,7 +73,7 @@ def test_boundary_map_diagonal_consistency():
         bm = build_boundary_map(a, 8)
         for seg in merge_segments(a):
             if seg.length <= 8:
-                assert bm.values[seg.length - 1, seg.start] == 1.0
+                assert bm[seg.length - 1, seg.start] == 1.0
 
 
 def test_boundary_map_order_invariance():
@@ -82,7 +82,7 @@ def test_boundary_map_order_invariance():
                          audio_fake=[Segment(2, 5), Segment(9, 12)],
                          visual_fake=[Segment(14, 17)])
     np.testing.assert_array_equal(
-        build_boundary_map(a, 6).values, build_boundary_map(b, 6).values
+        build_boundary_map(a, 6), build_boundary_map(b, 6)
     )
 
 
@@ -92,7 +92,7 @@ def test_boundary_map_matches_brute_force():
         t = int(rng.integers(8, 33))
         max_dur = int(rng.integers(1, 9))
         a = random_annotation(rng, t)
-        got = build_boundary_map(a, max_dur).values
+        got = build_boundary_map(a, max_dur)
         want = brute_force_boundary_map(a, max_dur)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -101,24 +101,24 @@ def test_boundary_map_matches_brute_force():
 
 def test_triplet_empty_is_zero():
     trip = build_prob_triplet(ann(8))
-    for seq in (trip.start, trip.end, trip.content):
+    for seq in trip.T:
         np.testing.assert_array_equal(seq, np.zeros(8))
 
 
 def test_triplet_single_segment_default_interval():
     # Segment [3, 7): first fake frame 3, last fake frame 6.
     trip = build_prob_triplet(ann(10, audio=[(3, 7)]), d_f=1.0)
-    np.testing.assert_array_equal(trip.start, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(trip.end, [0, 0, 0, 0, 0, 0, 1, 0, 0, 0])
-    np.testing.assert_array_equal(trip.content, [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
-    assert trip.start[4] == 0.0
+    np.testing.assert_array_equal(trip[:, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(trip[:, 1], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0])
+    np.testing.assert_array_equal(trip[:, 2], [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
+    assert trip[4, 0] == 0.0
 
 
 def test_triplet_wider_interval_spreads_boundaries():
     trip = build_prob_triplet(ann(10, audio=[(3, 7)]), d_f=2.0)
-    np.testing.assert_array_equal(trip.start, [0, 0, 0.5, 1, 0.5, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(trip.end, [0, 0, 0, 0, 0, 0.5, 1, 0.5, 0, 0])
-    np.testing.assert_array_equal(trip.content, [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(trip[:, 0], [0, 0, 0.5, 1, 0.5, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(trip[:, 1], [0, 0, 0, 0, 0, 0.5, 1, 0.5, 0, 0])
+    np.testing.assert_array_equal(trip[:, 2], [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
 
 
 def test_triplet_values_in_unit_interval():
@@ -127,7 +127,7 @@ def test_triplet_values_in_unit_interval():
         a = random_annotation(rng, 32)
         for direction in ("forward", "backward"):
             trip = build_prob_triplet(a, 3.0, direction)
-            for seq in (trip.start, trip.end, trip.content):
+            for seq in trip.T:
                 assert np.all(seq >= 0.0) and np.all(seq <= 1.0)
 
 
@@ -140,9 +140,9 @@ def test_triplet_matches_brute_force():
         for direction in ("forward", "backward"):
             trip = build_prob_triplet(a, d_f, direction)
             start, end, content = brute_force_triplet(a, d_f, direction)
-            np.testing.assert_allclose(trip.start, start, atol=1e-12)
-            np.testing.assert_allclose(trip.end, end, atol=1e-12)
-            np.testing.assert_allclose(trip.content, content, atol=1e-12)
+            np.testing.assert_allclose(trip[:, 0], start, atol=1e-12)
+            np.testing.assert_allclose(trip[:, 1], end, atol=1e-12)
+            np.testing.assert_allclose(trip[:, 2], content, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,9 +155,9 @@ def test_flip_consistency(t, d_f, seed):
     a = random_annotation(np.random.default_rng(seed), t)
     fwd = build_prob_triplet(a, d_f, "forward")
     bwd = build_prob_triplet(a, d_f, "backward")
-    np.testing.assert_array_equal(bwd.start, fwd.end[::-1])
-    np.testing.assert_array_equal(bwd.end, fwd.start[::-1])
-    np.testing.assert_array_equal(bwd.content, fwd.content[::-1])
+    np.testing.assert_array_equal(bwd[:, 0], fwd[:, 1][::-1])
+    np.testing.assert_array_equal(bwd[:, 1], fwd[:, 0][::-1])
+    np.testing.assert_array_equal(bwd[:, 2], fwd[:, 2][::-1])
 
 
 def test_triplet_order_invariance():
@@ -165,8 +165,8 @@ def test_triplet_order_invariance():
     swapped = ann(20, audio=[(9, 12), (2, 5)][::-1], visual=[(3, 6)])
     f0 = build_prob_triplet(base, 1.0)
     f1 = build_prob_triplet(swapped, 1.0)
-    np.testing.assert_array_equal(f0.start, f1.start)
-    np.testing.assert_array_equal(f0.content, f1.content)
+    np.testing.assert_array_equal(f0[:, 0], f1[:, 0])
+    np.testing.assert_array_equal(f0[:, 2], f1[:, 2])
 
 
 def test_triplet_rejects_bad_args():

@@ -5,7 +5,6 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc.autodiff import Tensor, grad_check
-from avloc.labels import BoundaryMap, FrameLabels, ProbTriplet
 from avloc.losses import (
     LossConfig,
     boundary_map_loss,
@@ -39,7 +38,7 @@ def _embeddings(t=4, c=3, seed=0):
 
 def test_contrastive_zero_when_real_and_aligned():
     f = Tensor(RNG.normal(size=(4, 3)))
-    y = FrameLabels(y=np.zeros(4))
+    y = np.zeros(4)
     loss = contrastive_loss(f, f, f, f, y, CFG)
     assert loss.item() == 0.0
 
@@ -47,14 +46,14 @@ def test_contrastive_zero_when_real_and_aligned():
 def test_contrastive_zero_when_fake_and_separated():
     a = Tensor(np.zeros((4, 3)))
     b = Tensor(np.full((4, 3), 10.0))
-    y = FrameLabels(y=np.ones(4))
+    y = np.ones(4)
     loss = contrastive_loss(a, b, a, b, y, CFG)
     assert loss.item() == 0.0
 
 
 def test_contrastive_single_fake_frame_hand_value():
     f = Tensor(RNG.normal(size=(4, 3)))
-    y = FrameLabels(y=np.array([0.0, 0.0, 0.0, 1.0]))
+    y = np.array([0.0, 0.0, 0.0, 1.0])
     # Identical views give d = 0 everywhere: real frames contribute 0 and the
     # fake frame contributes max(0, 1 - 0)^2 = 1, averaged over T = 4.
     loss = contrastive_loss(f, f, f, f, y, CFG)
@@ -69,14 +68,14 @@ def test_contrastive_pairs_backward_at_reversed_index():
     bwd_other = np.zeros((t, c))
     bwd_other[0, :] = [3.0, 4.0]  # backward index 0 = forward frame t-1
     f_va_bwd = Tensor(bwd_other)
-    y = FrameLabels(y=np.array([0.0, 0.0, 0.0, 1.0]))
+    y = np.array([0.0, 0.0, 0.0, 1.0])
     loss = contrastive_loss(f_av_fwd, f_va_fwd, f_av_bwd, f_va_bwd, y, CFG)
     # d = 5 lands on the fake frame: hinge saturates, everything else is 0.
     assert loss.item() == 0.0
 
 
 def test_contrastive_gradients_match_finite_differences():
-    y = FrameLabels(y=np.array([0.0, 1.0, 0.0, 1.0]))
+    y = np.array([0.0, 1.0, 0.0, 1.0])
     worst = 0.0
     for trial in range(20):
         fixed = _embeddings(seed=100 + trial)
@@ -96,7 +95,7 @@ def test_contrastive_gradient_finite_for_identical_embeddings():
     np.testing.assert_array_equal(z.grad, [0.0, 0.25])
     f = RNG.normal(size=(4, 3))
     x = Tensor(f.copy(), requires_grad=True)
-    y = FrameLabels(y=np.array([0.0, 1.0, 0.0, 1.0]))
+    y = np.array([0.0, 1.0, 0.0, 1.0])
     contrastive_loss(x, Tensor(f), Tensor(f), Tensor(f), y, CFG).backward()
     np.testing.assert_array_equal(x.grad, np.zeros_like(f))
 
@@ -105,7 +104,7 @@ def test_contrastive_shape_mismatch():
     a = Tensor(np.zeros((4, 3)))
     b = Tensor(np.zeros((4, 2)))
     with pytest.raises(ad.ShapeError):
-        contrastive_loss(a, b, a, a, FrameLabels(y=np.zeros(4)), CFG)
+        contrastive_loss(a, b, a, a, np.zeros(4), CFG)
 
 
 # -- boundary map MSE -------------------------------------------------------
@@ -115,20 +114,20 @@ def _random_map_pair(l=4, t=8, seed=0):
     from avloc.labels import in_range_mask
 
     mask = in_range_mask(l, t)
-    true = BoundaryMap(values=rng.uniform(0, 1, (l, t)) * mask)
+    true = rng.uniform(0, 1, (l, t)) * mask
     pred = Tensor(rng.uniform(0.01, 0.99, (l, t)))
     return pred, true, mask
 
 
 def test_boundary_loss_zero_on_exact_match():
     pred, true, mask = _random_map_pair(seed=1)
-    loss = boundary_map_loss(Tensor(true.values), true, mask)
+    loss = boundary_map_loss(Tensor(true), true, mask)
     assert loss.item() == 0.0
 
 
 def test_boundary_loss_constant_offset():
     _, true, mask = _random_map_pair(seed=2)
-    shifted = true.values + 0.1 * mask
+    shifted = true + 0.1 * mask
     loss = boundary_map_loss(Tensor(shifted), true, mask)
     assert loss.item() == pytest.approx(0.01)
 
@@ -139,7 +138,7 @@ def test_boundary_loss_matches_two_loop_oracle():
     for i in range(mask.shape[0]):
         for j in range(mask.shape[1]):
             if mask[i, j]:
-                total += (pred.data[i, j] - true.values[i, j]) ** 2
+                total += (pred.data[i, j] - true[i, j]) ** 2
                 count += 1
     assert boundary_map_loss(pred, true, mask).item() == pytest.approx(total / count)
 
@@ -227,10 +226,8 @@ def _triplet_tensors(rng, t=8):
 
 
 def _triplet_labels(rng, t=8):
-    return ProbTriplet(
-        start=rng.uniform(0, 1, t), end=rng.uniform(0, 1, t),
-        content=rng.uniform(0, 1, t),
-    )
+    # [T, 3] columns start, end, content, drawn column by column.
+    return rng.uniform(0, 1, (3, t)).T
 
 
 def test_frame_prob_loss_is_sum_of_six_focal_terms():
@@ -239,16 +236,37 @@ def test_frame_prob_loss_is_sum_of_six_focal_terms():
     tf, tb = _triplet_labels(rng), _triplet_labels(rng)
     loss = frame_prob_loss(pf, pb, tf, tb, CFG)
     manual = sum(
-        focal_loss(Tensor(pred.data[:, k]), getattr(true, ch), CFG).item()
+        focal_loss(Tensor(pred.data[:, k]), true[:, k], CFG).item()
         for pred, true in ((pf, tf), (pb, tb))
-        for k, ch in enumerate(("start", "end", "content"))
+        for k in range(3)
     )
     assert loss.item() == pytest.approx(manual, rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [7, 64, 100])
+def test_frame_prob_loss_gradient_equals_six_column_terms(t):
+    # The gradient through one focal term per [T, 3] direction is bit-identical
+    # to the per-column reference: 3 / (3T) rounds exactly like 1 / T.
+    rng = np.random.default_rng(t)
+    preds = [rng.uniform(0.01, 0.99, (t, 3)) for _ in range(2)]
+    trues = [_triplet_labels(rng, t), _triplet_labels(rng, t)]
+    leaves = [Tensor(p.copy(), requires_grad=True) for p in preds]
+    frame_prob_loss(*leaves, *trues, CFG).backward()
+
+    columns = [[Tensor(p[:, k].copy(), requires_grad=True) for k in range(3)] for p in preds]
+    reference = None
+    for cols, true in zip(columns, trues):
+        for k, col in enumerate(cols):
+            term = focal_loss(col, true[:, k], CFG)
+            reference = term if reference is None else reference + term
+    reference.backward()
+    for leaf, cols in zip(leaves, columns):
+        assert np.array_equal(leaf.grad, np.column_stack([c.grad for c in cols]))
+
+
 def test_frame_prob_loss_near_zero_for_easy_negatives():
     t = 8
-    zeros = ProbTriplet(start=np.zeros(t), end=np.zeros(t), content=np.zeros(t))
+    zeros = np.zeros((t, 3))
     tiny = Tensor(np.full((t, 3), 1e-9))
     assert frame_prob_loss(tiny, tiny, zeros, zeros, CFG).item() < 1e-12
 
@@ -292,5 +310,5 @@ def test_all_losses_nonnegative_on_random_inputs():
         target = rng.uniform(0, 1, 8)
         assert focal_loss(ad.sigmoid(Tensor(rng.normal(size=8))), target, CFG).item() >= 0.0
         embs = _embeddings(seed=trial)
-        y = FrameLabels(y=(rng.uniform(size=4) > 0.5).astype(float))
+        y = (rng.uniform(size=4) > 0.5).astype(float)
         assert contrastive_loss(*embs, y, CFG).item() >= 0.0
