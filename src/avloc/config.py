@@ -10,12 +10,11 @@ validation plateau, 40 epochs, batch size 8.
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import DatasetFormatError, SynthConfig, finite_float
+from .data import DatasetFormatError, SynthConfig, finite_float, read_json
 from .inference import InferenceConfig
 from .losses import LossConfig
 from .model import ModelConfig
@@ -123,12 +122,11 @@ def run_config_from_dict(raw: dict) -> RunConfig:
 
 def load_run_config(path: Path) -> RunConfig:
     try:
-        with open(Path(path)) as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at byte {exc.pos}") from exc
+    except DatasetFormatError as exc:
+        raise ConfigError(str(exc)) from exc
     return run_config_from_dict(raw)
 
 

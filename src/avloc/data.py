@@ -25,12 +25,16 @@ class DatasetFormatError(ValueError):
 
 
 def read_json(path: Path):
-    """Parse a JSON file; a syntax error is a DatasetFormatError with its byte offset."""
+    """Parse a UTF-8 JSON file; bad text is a DatasetFormatError naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}: invalid JSON at byte {exc.pos}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    except RecursionError:
+        raise DatasetFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def finite_float(value, where: str) -> float:

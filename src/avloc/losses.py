@@ -50,7 +50,7 @@ def _row_norm(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ad.ShapeError(f"contrastive: embedding shapes differ, {a.shape} vs {b.shape}")
     diff = a - b
-    return ad.sqrt(ad.tsum(ad.mul(diff, diff), axis=1))
+    return ad.sqrt(ad.scalar_mul(ad.mean(ad.mul(diff, diff), axis=1), a.shape[1]))
 
 
 def contrastive_loss(

@@ -250,7 +250,9 @@ class Model:
         p = self.params
         # Collapsing the sample axis with learned weights commutes with the
         # (constant) sampling, so fold the weights into the kernel first.
-        kernel = ad.weighted_sum(Tensor(self.mask.kernel), p["map_head.sample_w"])  # [L, L]
+        n, l = cfg.num_samples, cfg.max_duration
+        weights = ad.reshape(p["map_head.sample_w"], (1, n))
+        kernel = ad.reshape(ad.matmul(weights, Tensor(self.mask.kernel.reshape(n, l * l))), (l, l))
         grid = ad.banded_matmul(kernel, fused)  # [L, T, C+1]
         hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
         flat = ad.reshape(hidden, (cfg.max_duration * cfg.num_frames, cfg.channels))
@@ -335,6 +337,8 @@ def load_checkpoint(path: Path, cfg: ModelConfig) -> Model:
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: non-finite value in parameter {name!r}")
         params[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
     if offset != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes at byte {offset}")

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here is written as plain loops over intervals, deliberately
-sharing no code with the package implementations it checks.
+sharing no code with the package implementations it checks. JSON_VALUES is
+the shared hypothesis strategy that fuzzes the JSON readers.
 """
 
 from __future__ import annotations
@@ -9,8 +10,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from avloc.data import Segment, StreamAnnotation
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+# Any JSON value, for fuzzing the readers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    _json_containers,
+    max_leaves=12,
+)
 
 
 def random_annotation(rng: np.random.Generator, num_frames: int, clip_id: str = "r") -> StreamAnnotation:

@@ -93,6 +93,29 @@ def test_shape_errors_name_op_and_shapes(op, shapes):
     assert "(2, 7)" in str(err.value)
 
 
+@pytest.mark.parametrize("op,x_shape,w_shape", [
+    ("conv1d", (6, 4), (2, 4, 3)),  # even kernel
+    ("conv1d", (6, 4), (3, 5, 3)),  # C_in mismatch
+    ("conv2d", (4, 5, 3), (3, 2, 3, 2)),
+    ("conv2d", (4, 5, 3), (3, 3, 4, 2)),
+])
+def test_conv_shape_errors_name_op(op, x_shape, w_shape):
+    with pytest.raises(ShapeError, match=f"{op}: incompatible shapes"):
+        getattr(ad, op)(Tensor(rand(*x_shape)), Tensor(rand(*w_shape)))
+
+
+def test_conv1d_is_conv2d_with_unit_width():
+    x, w = rand(7, 4), rand(3, 4, 2)
+    results = []
+    for op, xv, wv in ((ad.conv1d, x, w), (ad.conv2d, x[:, None], w[:, None])):
+        xt, wt = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        out = op(xt, wt)
+        _sq_mean(out).backward()
+        results.append((out.data.ravel(), xt.grad.ravel(), wt.grad.ravel()))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def test_log_rejects_nonpositive():
     with pytest.raises(ValueError, match="positive"):
         ad.log(Tensor([0.0, 1.0]))
@@ -109,13 +132,6 @@ def test_upsample_then_pool_roundtrip_shape():
     up = ad.upsample1d(x)
     assert up.shape == (8, 3)
     np.testing.assert_array_equal(ad.max_pool1d(up).data, x.data)
-
-
-def test_weighted_sum_matches_manual():
-    stack = rand(5, 3, 2)
-    w = rand(5)
-    out = ad.weighted_sum(Tensor(stack), Tensor(w))
-    np.testing.assert_allclose(out.data, np.tensordot(w, stack, axes=(0, 0)))
 
 
 @pytest.mark.parametrize("l,t", [(3, 5), (4, 4)])
@@ -161,6 +177,12 @@ OP_CASES = {
     "conv1d_w": lambda: ((lambda w, c=Tensor(rand(6, 4)): _sq_mean(ad.conv1d(c, w))), (3, 4, 2)),
     "conv2d_x": lambda: ((lambda x, c=Tensor(rand(3, 3, 3, 2)): _sq_mean(ad.conv2d(x, c))), (4, 5, 3)),
     "conv2d_w": lambda: ((lambda w, c=Tensor(rand(4, 5, 3)): _sq_mean(ad.conv2d(c, w))), (3, 3, 3, 2)),
+    "conv1d_x_pointwise": lambda: ((lambda x, c=Tensor(rand(1, 4, 3)): _sq_mean(ad.conv1d(x, c))), (6, 4)),
+    "conv1d_w_pointwise": lambda: ((lambda w, c=Tensor(rand(6, 4)): _sq_mean(ad.conv1d(c, w))), (1, 4, 3)),
+    "conv2d_x_3x1": lambda: ((lambda x, c=Tensor(rand(3, 1, 3, 2)): _sq_mean(ad.conv2d(x, c))), (4, 5, 3)),
+    "conv2d_w_3x1": lambda: ((lambda w, c=Tensor(rand(4, 5, 3)): _sq_mean(ad.conv2d(c, w))), (3, 1, 3, 2)),
+    "conv2d_x_1x3": lambda: ((lambda x, c=Tensor(rand(1, 3, 3, 2)): _sq_mean(ad.conv2d(x, c))), (4, 5, 3)),
+    "conv2d_w_1x3": lambda: ((lambda w, c=Tensor(rand(4, 5, 3)): _sq_mean(ad.conv2d(c, w))), (1, 3, 3, 2)),
     "sigmoid": lambda: ((lambda x: _sq_mean(ad.sigmoid(x))), (4, 4)),
     "relu": lambda: ((lambda x: _sq_mean(ad.relu(x))), (4, 4)),
     "softmax": lambda: ((lambda x: _sq_mean(ad.softmax(x, axis=1))), (4, 4)),
@@ -175,8 +197,6 @@ OP_CASES = {
     "log": lambda: ((lambda x: _sq_mean(ad.log(_positive(x)))), (4, 4)),
     "sqrt": lambda: ((lambda x: _sq_mean(ad.sqrt(_positive(x)))), (4, 4)),
     "pow_const": lambda: ((lambda x: _sq_mean(ad.pow_const(_positive(x), 1.7))), (4, 4)),
-    "weighted_sum_stack": lambda: ((lambda x, c=Tensor(rand(5)): _sq_mean(ad.weighted_sum(x, c))), (5, 3, 2)),
-    "weighted_sum_weights": lambda: ((lambda w, c=Tensor(rand(5, 3, 2)): _sq_mean(ad.weighted_sum(c, w))), (5,)),
     "banded_matmul_kernel": lambda: ((lambda k, c=Tensor(rand(5, 2)): _sq_mean(ad.banded_matmul(k, c))), (3, 3)),
     "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
     "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (4, 4)),

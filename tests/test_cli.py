@@ -4,6 +4,8 @@ import pytest
 
 from avloc import autodiff as ad
 from avloc.cli import main
+from avloc.config import run_config_from_dict
+from avloc.model import Model, save_checkpoint
 
 TINY_CONFIG = {
     "seed": 7,
@@ -72,6 +74,19 @@ def test_malformed_json_config_exits_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("payload, message", [
+    (b'{"seed": 1, "\xff": 2}', "not UTF-8 at byte 13"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+], ids=["non-utf8", "deep-nesting"])
+def test_unreadable_config_exits_1_without_traceback(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("bad", [{"optim": {"epochs": 1.5}}, {"seed": True}])
@@ -175,6 +190,20 @@ def test_infer_rejects_mismatched_checkpoint(dataset, config_path, tmp_path):
                  "--data", str(dataset / "test"), "--out", str(tmp_path / "p.json")]) == 2
 
 
+def test_non_finite_checkpoint_exits_2(dataset, config_path, tmp_path, capsys):
+    model = Model(run_config_from_dict(TINY_CONFIG).model, seed=0)
+    model.params["map_head.out_b"].data[0] = float("nan")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model)
+    preds = tmp_path / "p.json"
+    assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                 "--data", str(dataset / "test"), "--out", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: non-finite value in parameter 'map_head.out_b'" in err
+    assert "Traceback" not in err
+    assert not preds.exists()
+
+
 def test_malformed_manifest_exits_2_without_traceback(dataset, config_path, tmp_path, capsys):
     manifest = dataset / "train" / "manifest.json"
     manifest.write_text(json.dumps({"version": json.loads(manifest.read_text())["version"]}))
@@ -229,6 +258,21 @@ def test_eval_rejects_malformed_predictions(dataset, tmp_path):
     bad.write_text("[{]")
     assert main(["eval", "--pred", str(bad), "--data", str(dataset / "test"),
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("payload, message", [
+    (b'[{"id": "\xff"}]', "not UTF-8 at byte 9"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+], ids=["non-utf8", "deep-nesting"])
+def test_eval_rejects_unreadable_predictions(dataset, tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    out = tmp_path / "r.json"
+    assert main(["eval", "--pred", str(bad), "--data", str(dataset / "test"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, message", [

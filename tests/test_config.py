@@ -54,6 +54,17 @@ def test_invalid_json_reports_byte_offset(tmp_path):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("payload, message", [
+    (b'{"seed": 1, "\xff": 2}', "not UTF-8 at byte 13"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+], ids=["non-utf8", "deep-nesting"])
+def test_unreadable_json_is_a_config_error(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_run_config(path)
+
+
 def test_split_counts_must_be_integers():
     with pytest.raises(ConfigError, match="val_clips"):
         run_config_from_dict({"synth": {"val_clips": "ten"}})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from avloc.data import (
     load_annotations,
     load_dataset,
     read_feature_file,
+    read_json,
     save_dataset,
 )
+from oracles import JSON_VALUES
 
 SMALL = SynthConfig(count=10, num_frames=32, d_audio=4, d_visual=4,
                     min_segments=1, max_segments=2, min_len=3, max_len=8)
@@ -213,6 +216,17 @@ def test_malformed_annotations_json_is_parse_error(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("payload, message", [
+    (b'{"id": "\xff"}', "not UTF-8 at byte 8"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+], ids=["non-utf8", "deep-nesting"])
+def test_read_json_rejects_bad_text_naming_the_file(tmp_path, payload, message):
+    path = tmp_path / "a.json"
+    path.write_bytes(payload)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: {message}")):
+        read_json(path)
+
+
 MANIFEST_FAULTS = {
     "array_manifest": (lambda m, ids: m["clips"], "expected a JSON object"),
     "no_clips": (lambda m, ids: {"version": m["version"]}, "'clips' must be a JSON array"),
@@ -304,15 +318,6 @@ def test_annotations_reader_accepts_valid_records():
     assert anns[1].audio_fake == [] and anns[1].visual_fake == []
 
 
-def _json_containers(inner):
-    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    _json_containers,
-    max_leaves=12,
-)
 # Near-valid payloads, so that the segment and annotation checks are reached too.
 SEGMENT_ROWS = st.lists(
     st.lists(st.integers(-1, 14) | st.floats(-1, 14) | JSON_VALUES, min_size=1, max_size=3),

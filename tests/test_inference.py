@@ -18,7 +18,7 @@ from avloc.inference import (
     soft_nms,
 )
 from avloc.labels import build_prob_triplet
-from oracles import brute_force_scores, brute_force_soft_nms, random_annotation
+from oracles import JSON_VALUES, brute_force_scores, brute_force_soft_nms, random_annotation
 
 RNG = np.random.default_rng(404)
 
@@ -309,12 +309,6 @@ def test_predictions_reader_rejects_malformed_records(raw, message):
         predictions_from_json(raw, "p.json")
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
-                                                                 max_size=3),
-    max_leaves=12,
-)
 # Near-valid payloads, so that the row checks are reached as well.
 RECORDS = st.lists(
     st.fixed_dictionaries({

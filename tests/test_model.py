@@ -152,7 +152,8 @@ def _dense_boundary_map_head(model, fused):
     cfg, p = model.cfg, model.params
     l, t, n = cfg.max_duration, cfg.num_frames, cfg.num_samples
     dense = brute_force_sampling_mask(l, t, n).reshape(n, l * t, t)
-    combined = ad.weighted_sum(Tensor(dense), p["map_head.sample_w"])
+    weights = ad.reshape(p["map_head.sample_w"], (1, n))
+    combined = ad.reshape(ad.matmul(weights, Tensor(dense.reshape(n, l * t * t))), (l * t, t))
     grid = ad.reshape(ad.matmul(combined, fused), (l, t, cfg.fused_channels))
     hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
     flat = ad.reshape(hidden, (l * t, cfg.channels))
@@ -308,6 +309,17 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(data + b"\0\0\0")
     with pytest.raises(CheckpointError,
                        match=re.escape(f"{path}: 3 trailing bytes at byte {len(data)}")):
+        load_checkpoint(path, TINY)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    model = Model(TINY, seed=0)
+    model.params["map_head.out_b"].data[0] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: non-finite value in parameter 'map_head.out_b'")):
         load_checkpoint(path, TINY)
 
 
