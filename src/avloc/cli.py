@@ -29,7 +29,7 @@ from .inference import predictions_from_json, predictions_to_json
 from .labels import labels_to_dict
 from .losses import LossConfig
 from .model import CheckpointError, Model, load_checkpoint, save_checkpoint
-from .pipeline import ground_truth_segments, predict_dataset
+from .pipeline import TIMING_STAGES, ground_truth_segments, predict_dataset
 from .train import train
 
 LOSS_CSV_HEADER = "step,contrastive,boundary_map,frame_prob,total"
@@ -109,10 +109,15 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     model = load_checkpoint(Path(args.checkpoint), cfg.model)
     clips = load_dataset(Path(args.data))
-    preds = predict_dataset(model, clips, cfg.infer, fusion=args.fusion)
+    timing = {} if args.timing else None
+    preds = predict_dataset(model, clips, cfg.infer, fusion=args.fusion, timing=timing)
     payload = [predictions_to_json(clip_id, preds[clip_id]) for clip_id in sorted(preds)]
     _write_json(Path(args.out), payload)
     print(f"wrote predictions for {len(payload)} clips to {args.out}")
+    if timing is not None:
+        per_clip = {stage: 1e3 * timing.get(stage, 0.0) / max(len(clips), 1)
+                    for stage in TIMING_STAGES}
+        print(json.dumps({"clips": len(clips), "ms_per_clip": per_clip}), file=sys.stderr)
     return 0
 
 
@@ -242,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output predictions JSON")
     p.add_argument("--fusion", choices=("both", "forward"), default="both",
                    help="use both directions (default) or forward only")
+    p.add_argument("--timing", action="store_true",
+                   help="write the mean ms per clip of each stage to stderr as one JSON line")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against annotations")

@@ -93,21 +93,38 @@ def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
     stops after cfg.top_k picks. Score ties resolve to the earliest row.
     Returns the picked rows with their scores at pick time, highest score
     first (a stable sort, so equal scores keep their pick order).
+
+    Frames are integers with start < end. A row can overlap the pick
+    [s, e) only if its start lies in [s - longest, e), where `longest` is
+    the longest row: a contiguous window of the rows sorted by start. Each
+    pick rescores only that window; every other row would be multiplied
+    by exp(-0 / sigma) = 1.0, so skipping it changes no bit.
     """
     starts, ends = proposals[:, 0], proposals[:, 1]
-    scores = proposals[:, 2].copy()
-    active = scores >= cfg.score_floor
+    by_start = np.argsort(starts, kind="stable")
+    sorted_starts, sorted_ends = starts[by_start], ends[by_start]
+    longest = (ends - starts).max(initial=0.0)
+    scores = proposals[:, 2].copy()  # dropped and picked rows hold -inf
+    scores[~(scores >= cfg.score_floor)] = -np.inf  # NaN too
     picked: list[int] = []
-    while len(picked) < cfg.top_k and active.any():
-        best = int(np.argmax(np.where(active, scores, -np.inf)))  # first index wins ties
+    picked_scores: list[float] = []
+    while len(picked) < cfg.top_k and scores.size:
+        best = int(np.argmax(scores))  # first index wins ties
+        if scores[best] == -np.inf:
+            break
         picked.append(best)
-        active[best] = False
-        idx = np.flatnonzero(active)
-        if idx.size:
-            iou = interval_iou(starts[idx], ends[idx], starts[best], ends[best])
-            scores[idx] *= np.exp(-(iou ** 2) / cfg.sigma)
-            active[idx] &= scores[idx] >= cfg.score_floor
-    kept = np.column_stack([starts[picked], ends[picked], scores[picked]])
+        picked_scores.append(scores[best])
+        scores[best] = -np.inf
+        s, e = starts[best], ends[best]
+        lo, hi = np.searchsorted(sorted_starts, (s - longest, e))
+        rows = by_start[lo:hi]
+        window = scores[rows]
+        iou = interval_iou(sorted_starts[lo:hi], sorted_ends[lo:hi], s, e)
+        # -inf rows are skipped: -inf * 0.0 (exp underflow at small sigma) is NaN
+        np.multiply(window, np.exp(-(iou ** 2) / cfg.sigma), out=window, where=window > -np.inf)
+        window[~(window >= cfg.score_floor)] = -np.inf
+        scores[rows] = window
+    kept = np.column_stack([starts[picked], ends[picked], picked_scores])
     return kept[np.argsort(-kept[:, 2], kind="stable")]
 
 

@@ -327,6 +327,7 @@ def load_checkpoint(path: Path, cfg: ModelConfig) -> Model:
 
     params: dict[str, Tensor] = {}
     for _ in range(count):
+        record_at = offset
         (name_len,) = struct.unpack("<H", take(2))
         try:
             name = take(name_len).decode("utf-8")
@@ -334,12 +335,20 @@ def load_checkpoint(path: Path, cfg: ModelConfig) -> Model:
             raise CheckpointError(
                 f"{path}: parameter name is not UTF-8 at byte {offset - name_len}"
             ) from None
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate parameter {name!r} at byte {record_at}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: non-finite value in parameter {name!r}")
-        params[name] = Tensor(data.reshape(shape).astype(np.float64), requires_grad=True)
+        try:
+            values = data.reshape(shape)
+        except ValueError:  # the sizes match, so only the rank can be out of numpy's range
+            raise CheckpointError(
+                f"{path}: parameter {name!r} at byte {record_at} has {ndim} dimensions"
+            ) from None
+        params[name] = Tensor(values.astype(np.float64), requires_grad=True)
     if offset != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes at byte {offset}")
     try:

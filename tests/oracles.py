@@ -1,18 +1,23 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here is written as plain loops over intervals, deliberately
-sharing no code with the package implementations it checks. JSON_VALUES is
-the shared hypothesis strategy that fuzzes the JSON readers.
+sharing no code with the package implementations it checks, except
+`reference_soft_nms`: the earlier all-rows Soft-NMS loop, kept verbatim so
+that the windowed `inference.soft_nms` can be pinned to its exact bytes.
+JSON_VALUES and `corrupted_bytes` are the shared hypothesis strategies that
+fuzz the JSON and binary readers; `append_checkpoint_record` writes
+checkpoint records by hand.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
 
-from avloc.data import Segment, StreamAnnotation
+from avloc.data import Segment, StreamAnnotation, interval_iou
 
 
 def _json_containers(inner):
@@ -25,6 +30,35 @@ JSON_VALUES = st.recursive(
     _json_containers,
     max_leaves=12,
 )
+
+
+def _with_bytes(data: bytes, edits: list[tuple[int, int]]) -> bytes:
+    out = bytearray(data)
+    for at, value in edits:
+        out[at] = value
+    return bytes(out)
+
+
+def corrupted_bytes(valid: bytes, header: int):
+    """Arbitrary bytes, `valid`'s first `header` bytes followed by arbitrary
+    bytes, truncations of `valid`, and `valid` with a few bytes overwritten."""
+    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=4)
+    return (st.binary(max_size=64)
+            | st.binary(max_size=64).map(lambda tail: valid[:header] + tail)
+            | st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+            | edits.map(lambda e: _with_bytes(valid, e)))
+
+
+def append_checkpoint_record(data: bytes, name: str, shape: tuple[int, ...], values=()) -> bytes:
+    """Checkpoint bytes with one more record (name, shape, flat float64
+    values) and the record count raised by one."""
+    encoded = name.encode("utf-8")
+    (count,) = struct.unpack("<I", data[8:12])
+    record = (struct.pack("<H", len(encoded)) + encoded
+              + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+              + np.asarray(values, dtype="<f8").tobytes())
+    return data[:8] + struct.pack("<I", count + 1) + data[12:] + record
 
 
 def random_annotation(rng: np.random.Generator, num_frames: int, clip_id: str = "r") -> StreamAnnotation:
@@ -180,6 +214,29 @@ def brute_force_soft_nms(
         pool = survivors
     selected.sort(key=lambda p: -p[2])
     return selected
+
+
+def reference_soft_nms(proposals: np.ndarray, cfg) -> np.ndarray:
+    """Gaussian Soft-NMS that rescores every active row at each pick.
+
+    The earlier `inference.soft_nms`, copied verbatim: its output bytes are
+    the specification of the windowed version.
+    """
+    starts, ends = proposals[:, 0], proposals[:, 1]
+    scores = proposals[:, 2].copy()
+    active = scores >= cfg.score_floor
+    picked: list[int] = []
+    while len(picked) < cfg.top_k and active.any():
+        best = int(np.argmax(np.where(active, scores, -np.inf)))  # first index wins ties
+        picked.append(best)
+        active[best] = False
+        idx = np.flatnonzero(active)
+        if idx.size:
+            iou = interval_iou(starts[idx], ends[idx], starts[best], ends[best])
+            scores[idx] *= np.exp(-(iou ** 2) / cfg.sigma)
+            active[idx] &= scores[idx] >= cfg.score_floor
+    kept = np.column_stack([starts[picked], ends[picked], scores[picked]])
+    return kept[np.argsort(-kept[:, 2], kind="stable")]
 
 
 def brute_force_pr_curve(

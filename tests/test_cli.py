@@ -6,6 +6,7 @@ from avloc import autodiff as ad
 from avloc.cli import main
 from avloc.config import run_config_from_dict
 from avloc.model import Model, save_checkpoint
+from oracles import append_checkpoint_record
 
 TINY_CONFIG = {
     "seed": 7,
@@ -200,6 +201,39 @@ def test_non_finite_checkpoint_exits_2(dataset, config_path, tmp_path, capsys):
                  "--data", str(dataset / "test"), "--out", str(preds)]) == 2
     err = capsys.readouterr().err
     assert f"{ckpt}: non-finite value in parameter 'map_head.out_b'" in err
+    assert "Traceback" not in err
+    assert not preds.exists()
+
+
+def test_infer_timing_reports_stage_means_on_stderr(dataset, config_path, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, Model(run_config_from_dict(TINY_CONFIG).model, seed=0))
+    runs = {}
+    for name, extra in (("plain", []), ("timed", ["--timing"])):
+        preds = tmp_path / f"{name}.json"
+        assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                     "--data", str(dataset / "test"), "--out", str(preds), *extra]) == 0
+        runs[name] = (preds.read_bytes(), capsys.readouterr().err)
+    assert runs["plain"][1] == ""
+    assert runs["timed"][0] == runs["plain"][0]
+    (line,) = runs["timed"][1].splitlines()
+    report = json.loads(line)
+    assert report["clips"] == 3
+    assert list(report["ms_per_clip"]) == ["forward", "fusion", "scoring", "soft_nms"]
+    assert all(ms >= 0.0 for ms in report["ms_per_clip"].values())
+    assert report["ms_per_clip"]["forward"] > 0.0
+
+
+def test_duplicate_checkpoint_parameter_exits_2(dataset, config_path, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, Model(run_config_from_dict(TINY_CONFIG).model, seed=0))
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(append_checkpoint_record(data, "att_av.k", (4, 4), [123.0] * 16))
+    preds = tmp_path / "p.json"
+    assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                 "--data", str(dataset / "test"), "--out", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: duplicate parameter 'att_av.k' at byte {len(data)}" in err
     assert "Traceback" not in err
     assert not preds.exists()
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from avloc.data import (
     DatasetFormatError,
+    FeatureStream,
     Segment,
     StreamAnnotation,
     SynthConfig,
@@ -18,8 +19,9 @@ from avloc.data import (
     read_feature_file,
     read_json,
     save_dataset,
+    write_feature_file,
 )
-from oracles import JSON_VALUES
+from oracles import JSON_VALUES, corrupted_bytes
 
 SMALL = SynthConfig(count=10, num_frames=32, d_audio=4, d_visual=4,
                     min_segments=1, max_segments=2, min_len=3, max_len=8)
@@ -347,3 +349,25 @@ def test_annotations_reader_raises_only_dataset_format_error(raw):
         for seg in a.audio_fake + a.visual_fake:
             assert type(seg.start) is int and type(seg.end) is int
             assert 0 <= seg.start < seg.end <= a.num_frames
+
+
+@pytest.fixture(scope="module")
+def feature_file(tmp_path_factory):
+    """A small feature file's path and bytes."""
+    rng = np.random.default_rng(5)
+    path = tmp_path_factory.mktemp("fuzz") / "clip.bin"
+    write_feature_file(path, FeatureStream(audio=rng.normal(size=(8, 3)),
+                                           visual=rng.normal(size=(8, 2))))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_feature_reader_raises_only_dataset_format_error(feature_file, data):
+    path, valid = feature_file
+    path.write_bytes(data.draw(corrupted_bytes(valid, header=20)))
+    try:
+        stream = read_feature_file(path)
+    except DatasetFormatError:
+        return
+    assert np.isfinite(stream.audio).all() and np.isfinite(stream.visual).all()

@@ -18,7 +18,13 @@ from avloc.inference import (
     soft_nms,
 )
 from avloc.labels import build_prob_triplet
-from oracles import JSON_VALUES, brute_force_scores, brute_force_soft_nms, random_annotation
+from oracles import (
+    JSON_VALUES,
+    brute_force_scores,
+    brute_force_soft_nms,
+    random_annotation,
+    reference_soft_nms,
+)
 
 RNG = np.random.default_rng(404)
 
@@ -255,6 +261,49 @@ def test_soft_nms_matches_step_by_step_simulation():
         for (s, e, score), w in zip(got.tolist(), want):
             assert (s, e) == (w[0], w[1])
             assert score == pytest.approx(w[2], abs=1e-12)
+
+
+def test_soft_nms_ties_go_to_the_earliest_caller_row():
+    # the later-starting row comes first in the caller's order, so it is picked first
+    out = soft_nms(rows((10, 14, 0.5), (0, 4, 0.5), (3, 12, 0.5)), InferenceConfig(top_k=1))
+    assert out.tolist() == [[10, 14, 0.5]]
+
+
+def tied_grid(t, max_duration, seed, rounded):
+    """A score_proposals grid with its rows shuffled and half of them
+    duplicated; `rounded` rounds the scores to 0.1 so that many tie."""
+    rng = np.random.default_rng(seed)
+    grid = score_proposals(rng.uniform(0, 1, (max_duration, t)), rand_triplet(t, rng) ** 0.25)
+    grid = np.concatenate([grid, grid[rng.permutation(len(grid))[:len(grid) // 2]]])
+    if rounded:
+        grid[:, 2] = np.round(grid[:, 2], 1)
+    return grid[rng.permutation(len(grid))]
+
+
+@pytest.mark.parametrize("rounded", [True, False])
+@pytest.mark.parametrize("floor", [0.0, 1e-4, 1e-2, 0.1])
+@pytest.mark.parametrize("sigma", [0.001, 0.1, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t,max_duration", [(128, 40), (64, 12)])
+def test_soft_nms_bytes_match_all_rows_reference(t, max_duration, sigma, floor, rounded):
+    rng = np.random.default_rng([t, int(1000 * sigma), int(1e4 * floor), rounded])
+    grid = tied_grid(t, max_duration, int(rng.integers(1 << 30)), rounded)
+    for top_k in (1, int(rng.integers(2, 150)), 150):
+        cfg = InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k)
+        got, want = soft_nms(grid, cfg), reference_soft_nms(grid, cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("proposals", [
+    rows(),
+    rows((3, 9, 0.4)),
+    rows((3, 9, 1e-5), (0, 4, np.nan), (2, 5, 0.0), (1, 8, 5e-5)),
+], ids=["empty", "one_row", "all_below_floor"])
+def test_soft_nms_edge_cases_match_all_rows_reference(proposals):
+    cfg = InferenceConfig()
+    got, want = soft_nms(proposals, cfg), reference_soft_nms(proposals, cfg)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_inference_config_validation():

@@ -2,10 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avloc import autodiff as ad
 from avloc.autodiff import Tensor
 from avloc.data import FeatureStream, SynthConfig, generate_clip
+from avloc.gradcheck import TINY_MODEL
 from avloc.labels import in_range_mask
 from avloc.model import (
     CheckpointError,
@@ -16,7 +19,7 @@ from avloc.model import (
     parameter_count,
     save_checkpoint,
 )
-from oracles import brute_force_sampling_mask
+from oracles import append_checkpoint_record, brute_force_sampling_mask, corrupted_bytes
 
 TINY = ModelConfig(num_frames=16, d_audio=4, d_visual=4, channels=4,
                    max_duration=4, num_samples=4)
@@ -323,6 +326,23 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, value):
         load_checkpoint(path, TINY)
 
 
+def test_checkpoint_rejects_duplicate_parameter(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    path.write_bytes(append_checkpoint_record(data, "att_av.k", (4, 4), [123.0] * 16))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: duplicate parameter 'att_av.k' at byte {len(data)}")):
+        load_checkpoint(path, TINY)
+
+
+def test_checkpoint_rejects_rank_beyond_numpy(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    # 65 zero-length axes: no values to read, but numpy cannot hold the array
+    path.write_bytes(append_checkpoint_record(data, "z", (0,) * 65))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: parameter 'z' at byte {len(data)} has 65 dimensions")):
+        load_checkpoint(path, TINY)
+
+
 def test_checkpoint_rejects_non_utf8_name(tmp_path):
     path, data = _saved_checkpoint(tmp_path)
     name_at = 14  # 12-byte header, then a 2-byte name length
@@ -330,3 +350,22 @@ def test_checkpoint_rejects_non_utf8_name(tmp_path):
     with pytest.raises(CheckpointError,
                        match=re.escape(f"{path}: parameter name is not UTF-8 at byte {name_at}")):
         load_checkpoint(path, TINY)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A TINY_MODEL checkpoint's path and bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(path, Model(TINY_MODEL, seed=0))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_reader_raises_only_checkpoint_error(tiny_checkpoint, data):
+    path, valid = tiny_checkpoint
+    path.write_bytes(data.draw(corrupted_bytes(valid, header=12)))
+    try:
+        load_checkpoint(path, TINY_MODEL)
+    except CheckpointError:
+        pass
