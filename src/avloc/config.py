@@ -64,7 +64,7 @@ def _field_values(prefix: str, cls, obj: dict, renames: dict[str, str] | None = 
     kwargs = {}
     for key, value in obj.items():
         name = renames.get(key, key)
-        if name not in known:
+        if name not in known or key in renames.values():  # a renamed field has one JSON name
             raise ConfigError(f"{prefix}{key}: unknown field")
         if types[name] in _NUMERIC_FIELDS:
             accepted, expected = _NUMERIC_FIELDS[types[name]]

@@ -35,6 +35,8 @@ def read_json(path: Path):
         raise DatasetFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except RecursionError:
         raise DatasetFormatError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # the only other failure: an integer past Python's digit limit
+        raise DatasetFormatError(f"{path}: JSON integer too long") from None
 
 
 def finite_float(value, where: str) -> float:
@@ -256,8 +258,8 @@ def generate_dataset(cfg: SynthConfig, seed: int, prefix: str = "clip", stream: 
 
 
 # ---------------------------------------------------------------------------
-# Serialization. One binary feature file per clip plus a JSON manifest and a
-# JSON annotation file per dataset directory.
+# Serialization. A split directory holds annotations.json, its only index,
+# and one binary feature file per clip at features/<id>.bin.
 # ---------------------------------------------------------------------------
 
 def write_feature_file(path: Path, stream: FeatureStream) -> None:
@@ -328,18 +330,10 @@ def annotation_from_dict(obj, where: str) -> StreamAnnotation:
 def save_dataset(path: Path, clips: list[Clip]) -> None:
     path = Path(path)
     (path / "features").mkdir(parents=True, exist_ok=True)
-    manifest = {"version": FEATURE_VERSION, "clips": []}
-    annotations = []
     for stream, ann in clips:
-        rel = f"features/{ann.id}.bin"
-        write_feature_file(path / rel, stream)
-        manifest["clips"].append({"id": ann.id, "path": rel})
-        annotations.append(annotation_to_dict(ann))
-    with open(path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_feature_file(path / "features" / f"{ann.id}.bin", stream)
     with open(path / "annotations.json", "w") as fh:
-        json.dump(annotations, fh, indent=2, sort_keys=True)
+        json.dump([annotation_to_dict(ann) for _, ann in clips], fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -364,40 +358,21 @@ def load_annotations(path: Path) -> list[StreamAnnotation]:
 
 
 def load_dataset(path: Path) -> list[Clip]:
+    """A split's clips in annotations.json order, each read from features/<id>.bin."""
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise DatasetFormatError(f"{manifest_path}: expected a JSON object")
-    if manifest.get("version") != FEATURE_VERSION:
-        raise DatasetFormatError(
-            f"{path}: manifest version {manifest.get('version')!r}, expected {FEATURE_VERSION}"
-        )
-    entries = manifest.get("clips")
-    if not isinstance(entries, list):
-        raise DatasetFormatError(f"{manifest_path}: 'clips' must be a JSON array")
-    anns = {a.id: a for a in load_annotations(path / "annotations.json")}
-    root = path.resolve()
+    source = path / "annotations.json"
+    features = path / "features"
+    root = features.resolve()
     clips = []
-    for k, entry in enumerate(entries):
-        where = f"{manifest_path}: clips[{k}]"
-        if not isinstance(entry, dict):
-            raise DatasetFormatError(f"{where}: expected a JSON object, got {entry!r}")
-        clip_id, rel = entry.get("id"), entry.get("path")
-        if not isinstance(clip_id, str):
-            raise DatasetFormatError(f"{where}: 'id' must be a string, got {clip_id!r}")
-        if not isinstance(rel, str):
-            raise DatasetFormatError(f"{where}: 'path' must be a string, got {rel!r}")
-        feature_path = path / rel
-        if not feature_path.resolve().is_relative_to(root):
-            raise DatasetFormatError(f"{where}: path {rel!r} resolves outside {path}")
-        if clip_id not in anns:
-            raise DatasetFormatError(f"{path}: clip {clip_id!r} missing from annotations.json")
+    for k, ann in enumerate(load_annotations(source)):
+        feature_path = features / f"{ann.id}.bin"
+        if "\0" in ann.id or not feature_path.resolve().is_relative_to(root):
+            raise DatasetFormatError(
+                f"{source}: record {k}: id {ann.id!r} names a file outside {features}")
         stream = read_feature_file(feature_path)
-        ann = anns[clip_id]
         if stream.num_frames != ann.num_frames:
             raise DatasetFormatError(
-                f"{path}: clip {clip_id!r} has {stream.num_frames} feature frames "
+                f"{path}: clip {ann.id!r} has {stream.num_frames} feature frames "
                 f"but annotation says {ann.num_frames}"
             )
         clips.append((stream, ann))

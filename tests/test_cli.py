@@ -37,9 +37,8 @@ def dataset(tmp_path, config_path):
 
 def test_synth_writes_all_splits(dataset):
     for split, count in (("train", 6), ("val", 2), ("test", 3)):
-        manifest = json.loads((dataset / split / "manifest.json").read_text())
-        assert len(manifest["clips"]) == count
-        assert (dataset / split / "annotations.json").exists()
+        assert len(json.loads((dataset / split / "annotations.json").read_text())) == count
+        assert not (dataset / split / "manifest.json").exists()
     assert (dataset / "config.json").exists()
 
 
@@ -49,9 +48,9 @@ def test_synth_is_byte_deterministic(tmp_path, config_path):
     a = (tmp_path / "a" / "train" / "annotations.json").read_bytes()
     b = (tmp_path / "b" / "train" / "annotations.json").read_bytes()
     assert a == b
-    clip = json.loads((tmp_path / "a" / "train" / "manifest.json").read_text())["clips"][0]
-    fa = (tmp_path / "a" / "train" / clip["path"]).read_bytes()
-    fb = (tmp_path / "b" / "train" / clip["path"]).read_bytes()
+    clip = json.loads(a)[0]
+    fa = (tmp_path / "a" / "train" / "features" / f"{clip['id']}.bin").read_bytes()
+    fb = (tmp_path / "b" / "train" / "features" / f"{clip['id']}.bin").read_bytes()
     assert fa == fb
 
 
@@ -238,13 +237,17 @@ def test_duplicate_checkpoint_parameter_exits_2(dataset, config_path, tmp_path, 
     assert not preds.exists()
 
 
-def test_malformed_manifest_exits_2_without_traceback(dataset, config_path, tmp_path, capsys):
-    manifest = dataset / "train" / "manifest.json"
-    manifest.write_text(json.dumps({"version": json.loads(manifest.read_text())["version"]}))
+def test_escaping_clip_id_exits_2_without_traceback(dataset, config_path, tmp_path, capsys):
+    source = dataset / "train" / "annotations.json"
+    raw = json.loads(source.read_text())
+    raw[0]["id"] = "../../val/features/val-00000"  # a valid feature file, in another split
+    source.write_text(json.dumps(raw))
     assert main(["train", "--config", config_path, "--data", str(dataset),
                  "--out", str(tmp_path / "model.ckpt")]) == 2
     err = capsys.readouterr().err
-    assert str(manifest) in err and "Traceback" not in err
+    assert f"{source}: record 0: id {raw[0]['id']!r} names a file outside" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_non_finite_feature_value_exits_2(dataset, config_path, tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avloc.config import (
     ConfigError,
@@ -10,6 +12,7 @@ from avloc.config import (
     run_config_from_dict,
     run_config_to_dict,
 )
+from oracles import JSON_VALUES, corrupted_bytes
 
 
 def test_defaults_roundtrip():
@@ -29,6 +32,13 @@ def test_partial_config_fills_defaults(tmp_path):
 def test_unknown_nested_key_names_the_field():
     with pytest.raises(ConfigError, match="optim.turbo"):
         run_config_from_dict({"optim": {"turbo": True}})
+
+
+@pytest.mark.parametrize("synth", [{"train_clips": 5, "count": 3}, {"count": 3, "train_clips": 5},
+                                   {"count": 3}], ids=["count-last", "count-first", "count-only"])
+def test_synth_count_is_spelled_train_clips(synth):
+    with pytest.raises(ConfigError, match=r"^synth\.count: unknown field$"):
+        run_config_from_dict({"synth": synth})
 
 
 def test_unknown_top_level_key():
@@ -57,7 +67,8 @@ def test_invalid_json_reports_byte_offset(tmp_path):
 @pytest.mark.parametrize("payload, message", [
     (b'{"seed": 1, "\xff": 2}', "not UTF-8 at byte 13"),
     (b"[" * 100_000, "JSON nested too deeply"),
-], ids=["non-utf8", "deep-nesting"])
+    (b'{"seed": ' + b"9" * 5000 + b"}", "JSON integer too long"),
+], ids=["non-utf8", "deep-nesting", "long-integer"])
 def test_unreadable_json_is_a_config_error(tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_bytes(payload)
@@ -113,3 +124,47 @@ def test_float_fields_reject_non_finite_values(raw, field):
 def test_float_fields_accept_integers():
     cfg = run_config_from_dict({"optim": {"learning_rate": 1}, "infer": {"sigma": 2}})
     assert cfg.optim.learning_rate == 1 and cfg.infer.sigma == 2
+
+
+DEFAULT_DICT = run_config_to_dict(RunConfig())
+# Every place a JSON value can stand in the default dict: a section or one field of it.
+FIELDS = [(key,) for key in DEFAULT_DICT] + [
+    (key, name) for key, section in DEFAULT_DICT.items() if isinstance(section, dict)
+    for name in section
+]
+
+
+def _replaced(keys: tuple[str, ...], value) -> dict:
+    raw = json.loads(json.dumps(DEFAULT_DICT))
+    *outer, last = keys
+    (raw[outer[0]] if outer else raw)[last] = value
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=JSON_VALUES | st.builds(_replaced, st.sampled_from(FIELDS), JSON_VALUES))
+def test_config_reader_raises_only_config_error(raw):
+    try:
+        cfg = run_config_from_dict(raw)
+    except ConfigError:
+        return
+    assert run_config_from_dict(run_config_to_dict(cfg)) == cfg
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    """A small config file's path and bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps({"seed": 3, "optim": {"epochs": 2}, "infer": {"sigma": 0.5}}))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_file_reader_raises_only_config_error(config_file, data):
+    path, valid = config_file
+    path.write_bytes(data.draw(corrupted_bytes(valid, header=10)))
+    try:
+        load_run_config(path)
+    except ConfigError:
+        pass

@@ -154,7 +154,7 @@ def test_save_is_byte_deterministic(tmp_path):
     clips = generate_dataset(SMALL, seed=21)
     save_dataset(tmp_path / "a", clips)
     save_dataset(tmp_path / "b", clips)
-    for rel in ["manifest.json", "annotations.json", f"features/{clips[0][1].id}.bin"]:
+    for rel in ["annotations.json", f"features/{clips[0][1].id}.bin"]:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
@@ -182,11 +182,10 @@ def test_bad_magic_is_parse_error(tmp_path):
 def test_version_mismatch_is_error(tmp_path):
     clips = generate_dataset(SMALL, seed=2)
     save_dataset(tmp_path / "d", clips)
-    manifest = tmp_path / "d" / "manifest.json"
-    obj = json.loads(manifest.read_text())
-    obj["version"] = 99
-    manifest.write_text(json.dumps(obj))
-    with pytest.raises(DatasetFormatError, match="version"):
+    victim = tmp_path / "d" / "features" / f"{clips[0][1].id}.bin"
+    data = victim.read_bytes()
+    victim.write_bytes(data[:4] + (99).to_bytes(4, "little") + data[8:])
+    with pytest.raises(DatasetFormatError, match=f"{re.escape(str(victim))}: unsupported version 99"):
         load_dataset(tmp_path / "d")
 
 
@@ -221,7 +220,8 @@ def test_malformed_annotations_json_is_parse_error(tmp_path):
 @pytest.mark.parametrize("payload, message", [
     (b'{"id": "\xff"}', "not UTF-8 at byte 8"),
     (b"[" * 100_000, "JSON nested too deeply"),
-], ids=["non-utf8", "deep-nesting"])
+    (b"[" + b"9" * 5000 + b"]", "JSON integer too long"),
+], ids=["non-utf8", "deep-nesting", "long-integer"])
 def test_read_json_rejects_bad_text_naming_the_file(tmp_path, payload, message):
     path = tmp_path / "a.json"
     path.write_bytes(payload)
@@ -229,39 +229,31 @@ def test_read_json_rejects_bad_text_naming_the_file(tmp_path, payload, message):
         read_json(path)
 
 
-MANIFEST_FAULTS = {
-    "array_manifest": (lambda m, ids: m["clips"], "expected a JSON object"),
-    "no_clips": (lambda m, ids: {"version": m["version"]}, "'clips' must be a JSON array"),
-    "clips_not_list": (lambda m, ids: dict(m, clips={"id": ids[0]}),
-                       "'clips' must be a JSON array"),
-    "entry_not_object": (lambda m, ids: dict(m, clips=["features/x.bin"]),
-                         r"clips\[0\]: expected a JSON object"),
-    "no_id": (lambda m, ids: dict(m, clips=[{"path": f"features/{ids[0]}.bin"}]),
-              r"clips\[0\]: 'id' must be a string"),
-    "no_path": (lambda m, ids: dict(m, clips=[{"id": ids[0]}]),
-                r"clips\[0\]: 'path' must be a string"),
-    "path_not_string": (lambda m, ids: dict(m, clips=[{"id": ids[0], "path": 3}]),
-                        r"clips\[0\]: 'path' must be a string"),
-    "path_escapes_split": (lambda m, ids: dict(m, clips=[{"id": ids[0], "path": "../outside.bin"}]),
-                           r"clips\[0\]: path '\.\./outside\.bin' resolves outside"),
-    "absolute_path": (lambda m, ids: dict(m, clips=[{"id": ids[0], "path": "/etc/hostname"}]),
-                      r"clips\[0\]: path '/etc/hostname' resolves outside"),
-}
-
-
-@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
-def test_malformed_manifest_names_the_file(tmp_path, fault):
-    mutate, message = MANIFEST_FAULTS[fault]
+@pytest.mark.parametrize("clip_id", ["../outside", "/etc/hostname", "clip\0x"],
+                         ids=["path_escapes_split", "absolute_path", "nul_byte"])
+def test_id_outside_the_split_names_annotations(tmp_path, clip_id):
     clips = generate_dataset(SMALL, seed=2)
     save_dataset(tmp_path / "d", clips)
-    ids = [ann.id for _, ann in clips]
-    # A valid feature file just outside the split: only the path check stops it.
-    (tmp_path / "outside.bin").write_bytes((tmp_path / "d" / f"features/{ids[0]}.bin").read_bytes())
-    manifest = tmp_path / "d" / "manifest.json"
-    manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()), ids)))
-    with pytest.raises(DatasetFormatError, match=message) as err:
+    # A valid feature file where `../outside` points: only the path check stops it.
+    (tmp_path / "d" / "outside.bin").write_bytes(
+        (tmp_path / "d" / "features" / f"{clips[0][1].id}.bin").read_bytes())
+    source = tmp_path / "d" / "annotations.json"
+    raw = json.loads(source.read_text())
+    raw[1]["id"] = clip_id
+    source.write_text(json.dumps(raw))
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{source}: record 1: id {clip_id!r} names a file outside {tmp_path / 'd' / 'features'}")):
         load_dataset(tmp_path / "d")
-    assert str(manifest) in str(err.value)
+
+
+def test_stale_manifest_is_ignored(tmp_path):
+    clips = generate_dataset(SMALL, seed=2)[:2]
+    save_dataset(tmp_path / "d", clips)
+    ids = [ann.id for _, ann in clips]
+    # The index an older layout wrote next to annotations.json, here naming a clip twice.
+    entries = [{"id": i, "path": f"features/{i}.bin"} for i in ids + ids[:1]]
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps({"version": 1, "clips": entries}))
+    assert [ann.id for _, ann in load_dataset(tmp_path / "d")] == ids
 
 
 # -- annotations file ----------------------------------------------------------
