@@ -4,7 +4,9 @@ Just enough tensor algebra for the two-stream localization model and its
 losses. Every op records its parents and a vector-Jacobian closure on the
 output tensor; backward() replays the graph once in reverse topological
 order. Graphs are built per forward pass and garbage-collected with their
-tensors, so independent forward passes never share state.
+tensors, so independent forward passes never share state. Inside a
+`with no_grad():` block ops record no graph: their outputs are untracked
+tensors with no parents, for passes that never call backward().
 
 Ops: add, mul, scalar_mul, matmul, transpose, reshape, flip, concat,
 sigmoid, relu, log, sqrt, pow_const, softmax, mean, conv1d, conv2d,
@@ -14,7 +16,10 @@ same-padded correlation (_correlate); sums are written as mean times count.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import contextlib
+import functools
+import math
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,8 +130,28 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside no_grad(): _op then records no parents.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording the autodiff graph; the flag is restored on exit.
+
+    The flag is one per process, not per thread.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _op(data: Array, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     tracked = tuple((p, fn) for p, fn in parents if p.requires_grad)
     if tracked:
         out.requires_grad = True
@@ -279,35 +304,57 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _op(data, [(a, lambda g: np.repeat(np.expand_dims(g / n, axis), n, axis=axis))])
 
 
+@functools.lru_cache(maxsize=64)
+def _correlation_plan(s: tuple[int, ...], ks: tuple[int, ...]):
+    """Shape constants of _correlate, computed once per (S, K): the padded grid
+    shape, the index of the input inside it, the output row count m, the
+    output's index into the accumulator, and per kernel offset o in
+    np.ndindex order its window over the padded grid and its row shift o . strides."""
+    padded = tuple(n + k - 1 for n, k in zip(s, ks))
+    inner = tuple(slice(k // 2, k // 2 + n) for k, n in zip(ks, s))
+    strides = [math.prod(padded[d + 1:]) for d in range(len(s))]
+    m = sum((n - 1) * stride for n, stride in zip(s, strides)) + 1
+    offsets = tuple(
+        (o, tuple(slice(a, a + n) for a, n in zip(o, s)), sum(a * b for a, b in zip(o, strides)))
+        for o in np.ndindex(*ks)
+    )
+    return padded, inner, m, tuple(slice(n) for n in s), offsets
+
+
 def _correlate(name: str, x: Tensor, w: Tensor) -> Tensor:
     """Same-padded correlation over the leading axes: [*S, C_in] x [*K, C_in, C_out] -> [*S, C_out].
 
-    Every kernel extent must be odd. One matmul per kernel offset, in np.ndindex order.
+    Every kernel extent must be odd. The zero-padded input is read as flat
+    rows, and output cell i is laid at row i . strides of the padded grid, so
+    the patch of kernel offset o is the m contiguous rows from o . strides.
+    One matmul per kernel offset, in np.ndindex order; the output is the
+    view of those rows without the pad columns (for conv1d, all of them).
     """
     *ks, cin, cout = w.data.shape
     if cin != x.data.shape[-1] or any(k % 2 != 1 for k in ks):
         raise ShapeError(f"{name}: incompatible shapes {x.shape} and {w.shape}")
     s = x.data.shape[:-1]
-    inner = tuple(slice(k // 2, k // 2 + n) for k, n in zip(ks, s))
+    padded, inner, m, out_index, offsets = _correlation_plan(s, tuple(ks))
     # Padded by hand: np.pad alone takes ~25 us a call (2-core x86-64).
-    xp = np.zeros(tuple(n + k - 1 for n, k in zip(s, ks)) + (cin,))
+    xp = np.zeros(padded + (cin,))
     xp[inner] = x.data
-    windows = {o: tuple(slice(a, a + n) for a, n in zip(o, s)) for o in np.ndindex(*ks)}
-    data = np.zeros(s + (cout,))
-    for o, win in windows.items():
-        # Keep the last patch alive while the next is built: freeing it first page-faults
-        # fresh memory per patch, 2-3x slower at [40, 128, 33] (glibc, 2-core x86-64).
-        patch = xp[win].reshape(-1, cin)
-        data += (patch @ w.data[o]).reshape(s + (cout,))
+    rows = xp.reshape(-1, cin)
+    acc = np.zeros(s[:1] + padded[1:] + (cout,))
+    acc_rows = acc.reshape(-1, cout)[:m]
+    tmp = np.empty_like(acc_rows)
+    for o, _, shift in offsets:
+        np.matmul(rows[shift:shift + m], w.data[o], out=tmp)
+        acc_rows += tmp
+    data = acc[out_index]
 
     def vjp_x(g: Array) -> Array:
         gp = np.zeros_like(xp)
-        for o, win in windows.items():
+        for o, win, _ in offsets:
             gp[win] += (g.reshape(-1, cout) @ w.data[o].T).reshape(s + (cin,))
         return gp[inner]
 
     def vjp_w(g: Array) -> Array:
-        grads = [xp[win].reshape(-1, cin).T @ g.reshape(-1, cout) for win in windows.values()]
+        grads = [xp[win].reshape(-1, cin).T @ g.reshape(-1, cout) for _, win, _ in offsets]
         return np.stack(grads).reshape(w.data.shape)
 
     return _op(data, [(x, vjp_x), (w, vjp_w)])
@@ -352,13 +399,23 @@ def upsample1d(x: Tensor) -> Tensor:
     return _op(data, [(x, lambda g: g[0::2] + g[1::2])])
 
 
+def _offset_windows(x: Array, l: int) -> Array:
+    """[L, T*D] windows of a [T, D] array: windows[k, j*D + c] = x[j + k, c], 0 past the last frame."""
+    t, d = x.shape
+    windows = np.zeros((l, t, d))
+    for k in range(min(l, t)):
+        windows[k, :t - k] = x[k:]
+    return windows.reshape(l, t * d)
+
+
 def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
     """Apply an offset kernel at every start: [L, L] x [T, D] -> [L, T, D].
 
     out[i, j] = sum_k kernel[i, k] * x[j + k] where j + i < T, and 0 where
     j + i >= T; rows of x past the last frame read as zero. This is the
     dense [L*T, T] matrix with entries kernel[i, s - j], applied without
-    building it: one [L, L] @ [L, T*D] matmul over a sliding-window view.
+    building it: one [L, L] @ [L, T*D] matmul over the offset windows of x.
+    The kernel's VJP rebuilds the windows rather than keep them in the graph.
     """
     if kernel.data.ndim != 2 or x.data.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(
@@ -366,19 +423,17 @@ def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
         )
     l = kernel.data.shape[0]
     t, d = x.data.shape
-    xp = np.pad(x.data, ((0, l - 1), (0, 0)))
-    # windows[k, j * D + c] = x[j + k, c]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, l, axis=0)
-    windows = windows.transpose(2, 0, 1).reshape(l, t * d)
+    data = (kernel.data @ _offset_windows(x.data, l)).reshape(l, t, d)
+    for i in range(1, l):
+        data[i, max(t - i, 0):] = 0.0
     in_range = (np.arange(l)[:, None] + np.arange(t) < t)[:, :, None]  # [L, T, 1]
-    data = np.where(in_range, (kernel.data @ windows).reshape(l, t, d), 0.0)
 
     def vjp_kernel(g: Array) -> Array:
-        return np.where(in_range, g, 0.0).reshape(l, t * d) @ windows.T
+        return np.where(in_range, g, 0.0).reshape(l, t * d) @ _offset_windows(x.data, l).T
 
     def vjp_x(g: Array) -> Array:
         gw = (kernel.data.T @ np.where(in_range, g, 0.0).reshape(l, t * d)).reshape(l, t, d)
-        gp = np.zeros_like(xp)
+        gp = np.zeros((t + l - 1, d))
         for k in range(l):
             gp[k:k + t] += gw[k]
         return gp[:t]

@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """--seed value: a non-negative integer, as the config's `seed` field."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_config(path: str | None) -> RunConfig:
     return load_run_config(Path(path)) if path else RunConfig()
 
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate train/val/test synthetic datasets")
     p.add_argument("--config", help="run config JSON (defaults used if omitted)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--out", required=True, help="output dataset root directory")
     p.set_defaults(func=cmd_synth)
 
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a synthesized dataset")
     p.add_argument("--config", help="run config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--data", required=True, help="dataset root (train/ and val/ inside)")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log", help="loss CSV path (default: <out>.loss.csv)")

@@ -37,6 +37,8 @@ class RunConfig:
     infer: InferenceConfig = InferenceConfig()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.val_clips < 0 or self.test_clips < 0:
             raise ConfigError("synth.val_clips/test_clips: must be >= 0")
         for field_name in ("num_frames", "d_audio", "d_visual"):

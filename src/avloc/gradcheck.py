@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import central_differences
+from .autodiff import central_differences, no_grad
 from .data import SynthConfig, generate_clip
 from .losses import LossConfig
 from .model import Model, ModelConfig, parameter_group
@@ -83,7 +83,8 @@ def model_grad_errors(
     targets = build_targets(clip[1], model_cfg.max_duration, d_f)
 
     def loss_values() -> np.ndarray:
-        return np.array(clip_losses(model, clip, targets, loss_cfg).values())
+        with no_grad():
+            return np.array(clip_losses(model, clip, targets, loss_cfg).values())
 
     # Analytic gradients: one backward pass per loss term.
     analytic: dict[str, dict[str, np.ndarray]] = {}

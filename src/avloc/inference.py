@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, Segment, finite_float, interval_iou, segment_from_json
+from .data import DatasetFormatError, Segment, finite_float, segment_from_json
 from .labels import in_range_mask
 
 
@@ -94,36 +94,52 @@ def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
     Returns the picked rows with their scores at pick time, highest score
     first (a stable sort, so equal scores keep their pick order).
 
-    Frames are integers with start < end. A row can overlap the pick
-    [s, e) only if its start lies in [s - longest, e), where `longest` is
-    the longest row: a contiguous window of the rows sorted by start. Each
-    pick rescores only that window; every other row would be multiplied
-    by exp(-0 / sigma) = 1.0, so skipping it changes no bit.
+    Rows below the floor (and NaN rows) are dropped up front and the rest
+    sorted by start. Frames are integers with start < end, so a row can
+    overlap the pick [s, e) only if its start lies in [s - longest, e),
+    where `longest` is the longest row: a contiguous slice of the sorted
+    rows. Each pick rescores only that slice, in place; every other row
+    would be multiplied by exp(-0 / sigma) = 1.0, so skipping it changes no
+    bit. A row that decays below the floor keeps decaying and stays below
+    it, so it is never the argmax while a row at or above the floor
+    remains; only picked rows hold -inf.
     """
-    starts, ends = proposals[:, 0], proposals[:, 1]
-    by_start = np.argsort(starts, kind="stable")
-    sorted_starts, sorted_ends = starts[by_start], ends[by_start]
-    longest = (ends - starts).max(initial=0.0)
-    scores = proposals[:, 2].copy()  # dropped and picked rows hold -inf
-    scores[~(scores >= cfg.score_floor)] = -np.inf  # NaN too
+    live = np.flatnonzero(proposals[:, 2] >= cfg.score_floor)  # NaN fails too
+    rows = live[np.argsort(proposals[live, 0], kind="stable")]  # caller row of each sorted row
+    starts, ends, scores = proposals[rows].T.copy()
+    lengths = ends - starts
+    longest = lengths.max(initial=0.0)
+    in_caller_order = bool(np.all(rows[1:] > rows[:-1]))
     picked: list[int] = []
     picked_scores: list[float] = []
     while len(picked) < cfg.top_k and scores.size:
-        best = int(np.argmax(scores))  # first index wins ties
-        if scores[best] == -np.inf:
+        best = int(np.argmax(scores))  # first in start order
+        top = scores[best]
+        if not top >= cfg.score_floor:
             break
+        if not in_caller_order:  # ties go to the earliest caller row
+            ties = np.flatnonzero(scores == top)
+            if ties.size > 1:
+                best = int(ties[np.argmin(rows[ties])])
         picked.append(best)
-        picked_scores.append(scores[best])
+        picked_scores.append(scores[best])  # not `top`: a tied 0.0 and -0.0 differ in bytes
         scores[best] = -np.inf
         s, e = starts[best], ends[best]
-        lo, hi = np.searchsorted(sorted_starts, (s - longest, e))
-        rows = by_start[lo:hi]
-        window = scores[rows]
-        iou = interval_iou(sorted_starts[lo:hi], sorted_ends[lo:hi], s, e)
-        # -inf rows are skipped: -inf * 0.0 (exp underflow at small sigma) is NaN
-        np.multiply(window, np.exp(-(iou ** 2) / cfg.sigma), out=window, where=window > -np.inf)
-        window[~(window >= cfg.score_floor)] = -np.inf
-        scores[rows] = window
+        lo, hi = np.searchsorted(starts, (s - longest, e))
+        window = scores[lo:hi]
+        # interval_iou(starts[lo:hi], ends[lo:hi], s, e), computed in place
+        iou = np.minimum(ends[lo:hi], e)
+        iou -= np.maximum(starts[lo:hi], s)
+        np.maximum(iou, 0.0, out=iou)
+        union = lengths[lo:hi] + (e - s)
+        union -= iou
+        iou /= union
+        np.square(iou, out=iou)
+        np.negative(iou, out=iou)
+        iou /= cfg.sigma
+        np.exp(iou, out=iou)
+        # picked rows are skipped: -inf * 0.0 (exp underflow at small sigma) is NaN
+        np.multiply(window, iou, out=window, where=window > -np.inf)
     kept = np.column_stack([starts[picked], ends[picked], picked_scores])
     return kept[np.argsort(-kept[:, 2], kind="stable")]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 
+from .autodiff import no_grad
 from .data import Clip, Segment, StreamAnnotation
 from .inference import (
     InferenceConfig,
@@ -31,7 +32,7 @@ def predict_clip(
     *, timing: dict[str, float] | None = None,
 ) -> list[ScoredProposal]:
     """Forward pass, direction fusion, scoring, and Soft-NMS for one clip,
-    highest score first.
+    highest score first. The forward pass records no autodiff graph.
 
     fusion="forward" skips the backward direction at scoring time (ablation
     hook); the model still runs both directions. If `timing` is given, the
@@ -41,7 +42,8 @@ def predict_clip(
         raise ValueError(f"unknown fusion mode {fusion!r}")
     stream, _ = clip
     ticks = [time.perf_counter()]
-    out = model.forward_full(stream)
+    with no_grad():
+        out = model.forward_full(stream)
     ticks.append(time.perf_counter())
     probs = out.probs_fwd.data
     if fusion == "both":

@@ -26,7 +26,7 @@ from .losses import (
     total_loss,
 )
 from .model import Model
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,11 @@ def train(
             )
 
         if val_clips:
-            val_loss = float(np.mean([
-                clip_losses(model, clip, tgt, loss_cfg).total.item()
-                for clip, tgt in zip(val_clips, val_targets)
-            ]))
+            with no_grad():
+                val_loss = float(np.mean([
+                    clip_losses(model, clip, tgt, loss_cfg).total.item()
+                    for clip, tgt in zip(val_clips, val_targets)
+                ]))
         else:
             val_loss = result.step_log[-1][4] if result.step_log else 0.0
         result.epoch_log.append((epoch, val_loss, opt.lr))

@@ -1,9 +1,13 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here is written as plain loops over intervals, deliberately
-sharing no code with the package implementations it checks, except
-`reference_soft_nms`: the earlier all-rows Soft-NMS loop, kept verbatim so
-that the windowed `inference.soft_nms` can be pinned to its exact bytes.
+sharing no code with the package implementations it checks, except the
+earlier implementations kept verbatim so that their faster successors can
+be pinned to their exact bytes: `reference_soft_nms`, the all-rows Soft-NMS
+loop; `reference_correlate`, the per-offset patch-copy correlation behind
+conv1d and conv2d; and `reference_banded_matmul`, the padded
+sliding-window offset-kernel product. The two ops return their output and
+VJP closures as plain arrays and functions instead of a Tensor.
 JSON_VALUES and `corrupted_bytes` are the shared hypothesis strategies that
 fuzz the JSON and binary readers; `append_checkpoint_record` writes
 checkpoint records by hand.
@@ -237,6 +241,64 @@ def reference_soft_nms(proposals: np.ndarray, cfg) -> np.ndarray:
             active[idx] &= scores[idx] >= cfg.score_floor
     kept = np.column_stack([starts[picked], ends[picked], scores[picked]])
     return kept[np.argsort(-kept[:, 2], kind="stable")]
+
+
+def reference_correlate(x: np.ndarray, w: np.ndarray):
+    """Same-padded correlation [*S, C_in] x [*K, C_in, C_out] -> (out, vjp_x, vjp_w).
+
+    The earlier `autodiff._correlate`, copied verbatim but for the array
+    arguments: one patch copy and one matmul per kernel offset.
+    """
+    *ks, cin, cout = w.shape
+    s = x.shape[:-1]
+    inner = tuple(slice(k // 2, k // 2 + n) for k, n in zip(ks, s))
+    xp = np.zeros(tuple(n + k - 1 for n, k in zip(s, ks)) + (cin,))
+    xp[inner] = x
+    windows = {o: tuple(slice(a, a + n) for a, n in zip(o, s)) for o in np.ndindex(*ks)}
+    data = np.zeros(s + (cout,))
+    for o, win in windows.items():
+        patch = xp[win].reshape(-1, cin)
+        data += (patch @ w[o]).reshape(s + (cout,))
+
+    def vjp_x(g):
+        gp = np.zeros_like(xp)
+        for o, win in windows.items():
+            gp[win] += (g.reshape(-1, cout) @ w[o].T).reshape(s + (cin,))
+        return gp[inner]
+
+    def vjp_w(g):
+        grads = [xp[win].reshape(-1, cin).T @ g.reshape(-1, cout) for win in windows.values()]
+        return np.stack(grads).reshape(w.shape)
+
+    return data, vjp_x, vjp_w
+
+
+def reference_banded_matmul(kernel: np.ndarray, x: np.ndarray):
+    """Offset kernel at every start, [L, L] x [T, D] -> (out [L, T, D], vjp_kernel, vjp_x).
+
+    The earlier `autodiff.banded_matmul`, copied verbatim but for the array
+    arguments: np.pad, a sliding-window view and np.where masking.
+    """
+    l = kernel.shape[0]
+    t, d = x.shape
+    xp = np.pad(x, ((0, l - 1), (0, 0)))
+    # windows[k, j * D + c] = x[j + k, c]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, l, axis=0)
+    windows = windows.transpose(2, 0, 1).reshape(l, t * d)
+    in_range = (np.arange(l)[:, None] + np.arange(t) < t)[:, :, None]  # [L, T, 1]
+    data = np.where(in_range, (kernel @ windows).reshape(l, t, d), 0.0)
+
+    def vjp_kernel(g):
+        return np.where(in_range, g, 0.0).reshape(l, t * d) @ windows.T
+
+    def vjp_x(g):
+        gw = (kernel.T @ np.where(in_range, g, 0.0).reshape(l, t * d)).reshape(l, t, d)
+        gp = np.zeros_like(xp)
+        for k in range(l):
+            gp[k:k + t] += gw[k]
+        return gp[:t]
+
+    return data, vjp_kernel, vjp_x
 
 
 def brute_force_pr_curve(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from avloc import autodiff as ad
 from avloc.autodiff import ShapeError, Tensor, grad_check
+from oracles import reference_banded_matmul, reference_correlate
 
 RNG = np.random.default_rng(1234)
 GRAD_TOL = 1e-4
@@ -145,6 +146,73 @@ def test_banded_matmul_matches_dense_band(l, t):
                     dense[i, j, j + k] = kernel[i, k]
     out = ad.banded_matmul(Tensor(kernel), Tensor(x))
     np.testing.assert_allclose(out.data, dense @ x, rtol=0, atol=1e-12)
+
+
+# Shapes of the model's correlations: the default boundary-map conv and its
+# 3x1 / 1x3 kernels, the default frame-head convs, the criterion-8 small
+# config (T=64, C=8, L=12) and a T=512, L=60 map.
+CORRELATE_SHAPES = {
+    "conv2d_default": ((40, 128, 33), (3, 3, 33, 32)),
+    "conv2d_default_3x1": ((40, 128, 33), (3, 1, 33, 32)),
+    "conv2d_default_1x3": ((40, 128, 33), (1, 3, 33, 32)),
+    "conv1d_default": ((128, 16), (3, 16, 32)),
+    "conv1d_default_pointwise": ((128, 32), (1, 32, 3)),
+    "conv2d_small": ((12, 64, 9), (3, 3, 9, 8)),
+    "conv1d_small": ((64, 9), (3, 9, 8)),
+    "conv1d_small_pointwise": ((64, 8), (1, 8, 3)),
+    "conv2d_t512_l60": ((60, 512, 33), (3, 3, 33, 32)),
+}
+
+
+@pytest.mark.parametrize("x_shape,w_shape", CORRELATE_SHAPES.values(), ids=CORRELATE_SHAPES)
+def test_correlation_bytes_match_patch_copy_reference(x_shape, w_shape):
+    rng = np.random.default_rng([*x_shape, *w_shape])
+    x, w = rng.uniform(-2, 2, x_shape), rng.uniform(-2, 2, w_shape)
+    op = ad.conv1d if len(x_shape) == 2 else ad.conv2d
+    out = op(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
+    want, *want_vjps = reference_correlate(x, w)
+    assert out.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+    g = rng.uniform(-2, 2, want.shape)
+    for (_, vjp), want_vjp in zip(out._parents, want_vjps, strict=True):
+        assert vjp(g).tobytes() == want_vjp(g).tobytes()
+
+
+# [L, L] x [T, D]: default, small config, T=512 / L=60, and a tiny case.
+@pytest.mark.parametrize("l,t,d", [(40, 128, 33), (12, 64, 9), (60, 512, 33), (4, 16, 5)])
+def test_banded_matmul_bytes_match_sliding_window_reference(l, t, d):
+    rng = np.random.default_rng([l, t, d])
+    kernel, x = rng.uniform(-2, 2, (l, l)), rng.uniform(-2, 2, (t, d))
+    out = ad.banded_matmul(Tensor(kernel, requires_grad=True), Tensor(x, requires_grad=True))
+    want, *want_vjps = reference_banded_matmul(kernel, x)
+    assert out.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+    g = rng.uniform(-2, 2, want.shape)
+    for (_, vjp), want_vjp in zip(out._parents, want_vjps, strict=True):
+        assert vjp(g).tobytes() == want_vjp(g).tobytes()
+
+
+def test_no_grad_outputs_have_no_parents():
+    x, w = Tensor(rand(6, 4), requires_grad=True), Tensor(rand(3, 4, 2), requires_grad=True)
+    with ad.no_grad():
+        out = _sq_mean(ad.relu(ad.conv1d(x, w)))
+    assert out._parents == () and not out.requires_grad
+    tracked = _sq_mean(ad.relu(ad.conv1d(x, w)))
+    assert tracked._parents and tracked.requires_grad
+    assert out.data.tobytes() == tracked.data.tobytes()
+
+
+def test_no_grad_restores_the_flag_after_an_exception():
+    x = Tensor(rand(2, 2), requires_grad=True)
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.matmul(x, Tensor(rand(3, 3)))
+    assert ad.add(x, x)._parents
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.add(x, x)._parents == ()  # an inner block restores "off"
+    assert ad.add(x, x)._parents
 
 
 def test_softmax_rows_sum_to_one():

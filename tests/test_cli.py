@@ -64,6 +64,29 @@ def test_synth_invalid_config_exits_1_without_files(tmp_path):
     assert not out.exists()
 
 
+def test_negative_config_seed_exits_1_before_writing(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, seed=-1)))
+    out = tmp_path / "never"
+    assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed: must be >= 0, got -1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("value, message", [("-1", "must be >= 0, got -1"),
+                                            ("x", "expected an integer, got 'x'")])
+def test_bad_seed_flag_exits_1_before_writing(dataset, config_path, tmp_path, capsys,
+                                              command, value, message):
+    out = tmp_path / "never"
+    data = ["--data", str(dataset)] if command == "train" else []
+    assert main([command, "--config", config_path, "--seed", value, *data,
+                 "--out", str(out)]) == 1
+    assert f"argument --seed: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": {"num_frames": 32, "mystery": 3}}))

@@ -41,6 +41,14 @@ def test_synth_count_is_spelled_train_clips(synth):
         run_config_from_dict({"synth": synth})
 
 
+def test_negative_seed_names_the_field():
+    with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
+        run_config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-3)
+    assert run_config_from_dict({"seed": 0}).seed == 0
+
+
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match="mystery"):
         run_config_from_dict({"mystery": 1})

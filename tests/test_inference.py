@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avloc.data import DatasetFormatError, Segment
+from avloc import pipeline
+from avloc.data import DatasetFormatError, Segment, SynthConfig, generate_clip
 from avloc.inference import (
     InferenceConfig,
     ScoredProposal,
@@ -18,6 +20,7 @@ from avloc.inference import (
     soft_nms,
 )
 from avloc.labels import build_prob_triplet
+from avloc.model import Model, ModelConfig
 from oracles import (
     JSON_VALUES,
     brute_force_scores,
@@ -306,11 +309,64 @@ def test_soft_nms_edge_cases_match_all_rows_reference(proposals):
     assert got.tobytes() == want.tobytes()
 
 
+def edge_grid(seed, scores):
+    """A shuffled score_proposals grid at T=64, L=12. scores="signed" sets
+    an eighth of the scores each to a negative value, NaN, -0.0 and 0.0;
+    scores="equal" sets every score to 0.5."""
+    rng = np.random.default_rng(seed)
+    grid = tied_grid(64, 12, seed, rounded=False)
+    if scores == "equal":
+        grid[:, 2] = 0.5
+    else:
+        parts = np.array_split(rng.permutation(len(grid)), 8)
+        grid[parts[0], 2] *= -1.0
+        grid[parts[1], 2] = np.nan
+        grid[parts[2], 2] = -0.0
+        grid[parts[3], 2] = 0.0
+    return grid
+
+
+@pytest.mark.parametrize("scores", ["signed", "equal"])
+@pytest.mark.parametrize("sigma,floor", [(0.001, 0.0), (0.001, 1e-4), (0.5, 0.0), (1.0, 1e-4)])
+def test_soft_nms_score_edge_cases_match_all_rows_reference(scores, sigma, floor):
+    # floor 0 with sigma 0.001: a near-duplicate's factor underflows to 0.0, and
+    # 0.0 (or -0.0) stays at the floor, so such rows remain pickable
+    for seed in range(3):
+        grid = edge_grid(seed, scores)
+        for top_k in (1, 40, 500):
+            cfg = InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k)
+            got, want = soft_nms(grid, cfg), reference_soft_nms(grid, cfg)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_inference_config_validation():
     with pytest.raises(ValueError, match="sigma"):
         InferenceConfig(sigma=0.0)
     with pytest.raises(ValueError, match="top_k"):
         InferenceConfig(top_k=0)
+
+
+# -- predict_clip ----------------------------------------------------------------
+
+@pytest.mark.parametrize("fusion", ["both", "forward"])
+def test_predict_clip_records_no_graph_and_keeps_its_bytes(monkeypatch, fusion):
+    model = Model(ModelConfig(), seed=5)
+    clip = generate_clip(SynthConfig(), np.random.default_rng(5), "c")
+    outputs = []
+    forward_full = model.forward_full
+    monkeypatch.setattr(model, "forward_full", lambda s: outputs.append(forward_full(s)) or outputs[-1])
+    graph_free = pipeline.predict_clip(model, clip, InferenceConfig(), fusion)
+    monkeypatch.setattr(pipeline, "no_grad", contextlib.nullcontext)
+    tracked = pipeline.predict_clip(model, clip, InferenceConfig(), fusion)
+    untracked_out, tracked_out = outputs
+    for name in ("boundary_map", "probs_fwd", "probs_bwd"):
+        assert getattr(untracked_out, name)._parents == ()
+        assert getattr(tracked_out, name)._parents
+        assert getattr(untracked_out, name).data.tobytes() == getattr(tracked_out, name).data.tobytes()
+    assert len(graph_free) == 100
+    assert [(p.segment, p.score.hex()) for p in graph_free] == \
+        [(p.segment, p.score.hex()) for p in tracked]
 
 
 # -- predictions file ----------------------------------------------------------
