@@ -17,7 +17,6 @@ same-padded correlation (_correlate); sums are written as mean times count.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -304,23 +303,6 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _op(data, [(a, lambda g: np.repeat(np.expand_dims(g / n, axis), n, axis=axis))])
 
 
-@functools.lru_cache(maxsize=64)
-def _correlation_plan(s: tuple[int, ...], ks: tuple[int, ...]):
-    """Shape constants of _correlate, computed once per (S, K): the padded grid
-    shape, the index of the input inside it, the output row count m, the
-    output's index into the accumulator, and per kernel offset o in
-    np.ndindex order its window over the padded grid and its row shift o . strides."""
-    padded = tuple(n + k - 1 for n, k in zip(s, ks))
-    inner = tuple(slice(k // 2, k // 2 + n) for k, n in zip(ks, s))
-    strides = [math.prod(padded[d + 1:]) for d in range(len(s))]
-    m = sum((n - 1) * stride for n, stride in zip(s, strides)) + 1
-    offsets = tuple(
-        (o, tuple(slice(a, a + n) for a, n in zip(o, s)), sum(a * b for a, b in zip(o, strides)))
-        for o in np.ndindex(*ks)
-    )
-    return padded, inner, m, tuple(slice(n) for n in s), offsets
-
-
 def _correlate(name: str, x: Tensor, w: Tensor) -> Tensor:
     """Same-padded correlation over the leading axes: [*S, C_in] x [*K, C_in, C_out] -> [*S, C_out].
 
@@ -334,27 +316,32 @@ def _correlate(name: str, x: Tensor, w: Tensor) -> Tensor:
     if cin != x.data.shape[-1] or any(k % 2 != 1 for k in ks):
         raise ShapeError(f"{name}: incompatible shapes {x.shape} and {w.shape}")
     s = x.data.shape[:-1]
-    padded, inner, m, out_index, offsets = _correlation_plan(s, tuple(ks))
+    padded = tuple(n + k - 1 for n, k in zip(s, ks))
+    inner = tuple(slice(k // 2, k // 2 + n) for k, n in zip(ks, s))
+    strides = [math.prod(padded[d + 1:]) for d in range(len(s))]
+    m = sum((n - 1) * stride for n, stride in zip(s, strides)) + 1
     # Padded by hand: np.pad alone takes ~25 us a call (2-core x86-64).
     xp = np.zeros(padded + (cin,))
     xp[inner] = x.data
     rows = xp.reshape(-1, cin)
+    windows = {o: tuple(slice(a, a + n) for a, n in zip(o, s)) for o in np.ndindex(*ks)}
     acc = np.zeros(s[:1] + padded[1:] + (cout,))
     acc_rows = acc.reshape(-1, cout)[:m]
     tmp = np.empty_like(acc_rows)
-    for o, _, shift in offsets:
+    for o in windows:
+        shift = sum(a * stride for a, stride in zip(o, strides))
         np.matmul(rows[shift:shift + m], w.data[o], out=tmp)
         acc_rows += tmp
-    data = acc[out_index]
+    data = acc[tuple(slice(n) for n in s)]
 
     def vjp_x(g: Array) -> Array:
         gp = np.zeros_like(xp)
-        for o, win, _ in offsets:
+        for o, win in windows.items():
             gp[win] += (g.reshape(-1, cout) @ w.data[o].T).reshape(s + (cin,))
         return gp[inner]
 
     def vjp_w(g: Array) -> Array:
-        grads = [xp[win].reshape(-1, cin).T @ g.reshape(-1, cout) for _, win, _ in offsets]
+        grads = [xp[win].reshape(-1, cin).T @ g.reshape(-1, cout) for win in windows.values()]
         return np.stack(grads).reshape(w.data.shape)
 
     return _op(data, [(x, vjp_x), (w, vjp_w)])
@@ -408,6 +395,14 @@ def _offset_windows(x: Array, l: int) -> Array:
     return windows.reshape(l, t * d)
 
 
+def _zero_past_end(a: Array) -> Array:
+    """Zero the cells [i, j] of an [L, T, D] array where j + i >= T, in place; returns `a`."""
+    l, t = a.shape[:2]
+    for i in range(1, l):
+        a[i, max(t - i, 0):] = 0.0
+    return a
+
+
 def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
     """Apply an offset kernel at every start: [L, L] x [T, D] -> [L, T, D].
 
@@ -423,16 +418,13 @@ def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
         )
     l = kernel.data.shape[0]
     t, d = x.data.shape
-    data = (kernel.data @ _offset_windows(x.data, l)).reshape(l, t, d)
-    for i in range(1, l):
-        data[i, max(t - i, 0):] = 0.0
-    in_range = (np.arange(l)[:, None] + np.arange(t) < t)[:, :, None]  # [L, T, 1]
+    data = _zero_past_end((kernel.data @ _offset_windows(x.data, l)).reshape(l, t, d))
 
     def vjp_kernel(g: Array) -> Array:
-        return np.where(in_range, g, 0.0).reshape(l, t * d) @ _offset_windows(x.data, l).T
+        return _zero_past_end(g.copy()).reshape(l, t * d) @ _offset_windows(x.data, l).T
 
     def vjp_x(g: Array) -> Array:
-        gw = (kernel.data.T @ np.where(in_range, g, 0.0).reshape(l, t * d)).reshape(l, t, d)
+        gw = (kernel.data.T @ _zero_past_end(g.copy()).reshape(l, t * d)).reshape(l, t, d)
         gp = np.zeros((t + l - 1, d))
         for k in range(l):
             gp[k:k + t] += gw[k]

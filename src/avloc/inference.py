@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, Segment, finite_float, segment_from_json
+from .data import DatasetFormatError, Segment, finite_float, interval_iou, segment_from_json
 from .labels import in_range_mask
 
 
@@ -107,9 +107,7 @@ def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
     live = np.flatnonzero(proposals[:, 2] >= cfg.score_floor)  # NaN fails too
     rows = live[np.argsort(proposals[live, 0], kind="stable")]  # caller row of each sorted row
     starts, ends, scores = proposals[rows].T.copy()
-    lengths = ends - starts
-    longest = lengths.max(initial=0.0)
-    in_caller_order = bool(np.all(rows[1:] > rows[:-1]))
+    longest = (ends - starts).max(initial=0.0)
     picked: list[int] = []
     picked_scores: list[float] = []
     while len(picked) < cfg.top_k and scores.size:
@@ -117,29 +115,18 @@ def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
         top = scores[best]
         if not top >= cfg.score_floor:
             break
-        if not in_caller_order:  # ties go to the earliest caller row
-            ties = np.flatnonzero(scores == top)
-            if ties.size > 1:
-                best = int(ties[np.argmin(rows[ties])])
+        ties = np.flatnonzero(scores == top)
+        if ties.size > 1:  # ties go to the earliest caller row
+            best = int(ties[np.argmin(rows[ties])])
         picked.append(best)
         picked_scores.append(scores[best])  # not `top`: a tied 0.0 and -0.0 differ in bytes
         scores[best] = -np.inf
         s, e = starts[best], ends[best]
         lo, hi = np.searchsorted(starts, (s - longest, e))
         window = scores[lo:hi]
-        # interval_iou(starts[lo:hi], ends[lo:hi], s, e), computed in place
-        iou = np.minimum(ends[lo:hi], e)
-        iou -= np.maximum(starts[lo:hi], s)
-        np.maximum(iou, 0.0, out=iou)
-        union = lengths[lo:hi] + (e - s)
-        union -= iou
-        iou /= union
-        np.square(iou, out=iou)
-        np.negative(iou, out=iou)
-        iou /= cfg.sigma
-        np.exp(iou, out=iou)
+        iou = interval_iou(starts[lo:hi], ends[lo:hi], s, e)
         # picked rows are skipped: -inf * 0.0 (exp underflow at small sigma) is NaN
-        np.multiply(window, iou, out=window, where=window > -np.inf)
+        np.multiply(window, np.exp(-(iou ** 2) / cfg.sigma), out=window, where=window > -np.inf)
     kept = np.column_stack([starts[picked], ends[picked], picked_scores])
     return kept[np.argsort(-kept[:, 2], kind="stable")]
 
