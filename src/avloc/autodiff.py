@@ -10,8 +10,22 @@ tensors with no parents, for passes that never call backward().
 
 Ops: add, mul, scalar_mul, matmul, transpose, reshape, flip, concat,
 sigmoid, relu, log, sqrt, pow_const, softmax, mean, conv1d, conv2d,
-max_pool1d, upsample1d and banded_matmul. conv1d and conv2d share one
-same-padded correlation (_correlate); sums are written as mean times count.
+max_pool1d, upsample1d, banded_matmul and batch_element. conv1d and conv2d
+share one same-padded correlation (_correlate); sums are written as mean
+times count.
+
+Batch axis. conv1d, matmul, transpose, max_pool1d and upsample1d take an
+optional leading batch axis, fixed by rank: [B, T, C] where the unbatched
+form is [T, C] (for matmul, a [B, M, K] left operand against a shared
+[K, N] or a stacked [B, K, N] right one). softmax and the elementwise ops
+work at any rank. add takes the batch axis only by `batched=True`, since a
+broadcast alone cannot tell a batch axis from a spatial one (conv2d's
+[L, T, C] output plus a [C] bias). batch_element reads one element back.
+Every gradient reduced over the batch axis (a shared weight, a bias) is
+reduced per element and the per-element results are added in element
+order, never summed as one reduction over B*T rows. A sum of two terms is
+order-free, so a pair gives the bytes of two separate calls whose
+gradients backward() adds up.
 """
 
 from __future__ import annotations
@@ -94,6 +108,11 @@ class Tensor:
             raise ShapeError(
                 f"backward: loss must be scalar, got shape {self.shape}"
             )
+        if not self.requires_grad:
+            raise ValueError(
+                "backward: loss is untracked (requires_grad is False); it was computed "
+                "inside no_grad() or from no requires_grad leaf"
+            )
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -158,10 +177,21 @@ def _op(data: Array, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]])
     return out
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a broadcast gradient back to the operand's shape."""
+def _batch_sum(parts: Sequence[Array]) -> Array:
+    """Add per-element gradients in element order: ((g0 + g1) + g2) ..."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def _unbroadcast(g: Array, shape: tuple[int, ...], batched: bool = False) -> Array:
+    """Reduce a broadcast gradient back to the operand's shape; with `batched`,
+    one element of g's leading batch axis at a time."""
     if g.shape == shape:
         return g
+    if batched and g.ndim > len(shape):
+        return _batch_sum([_unbroadcast(gi, shape) for gi in g])
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -171,14 +201,16 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, *, batched: bool = False) -> Tensor:
+    """a + b with broadcasting; `batched=True` marks axis 0 as a batch axis
+    (a [B, T, C] tensor plus a [C] bias)."""
     try:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
     return _op(data, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
+        (a, lambda g: _unbroadcast(g, a.data.shape, batched)),
+        (b, lambda g: _unbroadcast(g, b.data.shape, batched)),
     ])
 
 
@@ -198,19 +230,30 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _op(a.data * c, [(a, lambda g: g * c)])
 
 
+def _swap_last(a: Array) -> Array:
+    return np.swapaxes(a, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """[M, K] @ [K, N]; batched, [B, M, K] @ [K, N] (shared) or [B, M, K] @ [B, K, N]."""
+    ranks = (a.data.ndim, b.data.ndim)
+    if (ranks not in ((2, 2), (3, 2), (3, 3)) or a.shape[-1] != b.shape[-2]
+            or ranks == (3, 3) and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _op(a.data @ b.data, [
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
-    ])
+    if ranks == (3, 2):  # b is shared by the batch: one GEMM per element
+        def vjp_b(g: Array) -> Array:
+            return _batch_sum([ai.T @ gi for ai, gi in zip(a.data, g)])
+    else:
+        def vjp_b(g: Array) -> Array:
+            return _swap_last(a.data) @ g
+    return _op(a.data @ b.data, [(a, lambda g: g @ _swap_last(b.data)), (b, vjp_b)])
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d tensor, got shape {a.shape}")
-    return _op(np.ascontiguousarray(a.data.T), [(a, lambda g: g.T)])
+    """Swap the last two axes of a [M, N] or batched [B, M, N] tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose: expected 2-d or batched 3-d tensor, got shape {a.shape}")
+    return _op(np.ascontiguousarray(_swap_last(a.data)), [(a, _swap_last)])
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -303,7 +346,7 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _op(data, [(a, lambda g: np.repeat(np.expand_dims(g / n, axis), n, axis=axis))])
 
 
-def _correlate(name: str, x: Tensor, w: Tensor) -> Tensor:
+def _correlate(name: str, x: Tensor, w: Tensor, batched: bool = False) -> Tensor:
     """Same-padded correlation over the leading axes: [*S, C_in] x [*K, C_in, C_out] -> [*S, C_out].
 
     Every kernel extent must be odd. The zero-padded input is read as flat
@@ -311,8 +354,11 @@ def _correlate(name: str, x: Tensor, w: Tensor) -> Tensor:
     the patch of kernel offset o is the m contiguous rows from o . strides.
     One matmul per kernel offset, in np.ndindex order; the output is the
     view of those rows without the pad columns (for conv1d, all of them).
+    With `batched`, axis 0 of x is a batch axis: the kernel gets an extent
+    of 1 there, and the weight gradient is reduced per element.
     """
-    *ks, cin, cout = w.data.shape
+    kernel = w.data[None] if batched else w.data
+    *ks, cin, cout = kernel.shape
     if cin != x.data.shape[-1] or any(k % 2 != 1 for k in ks):
         raise ShapeError(f"{name}: incompatible shapes {x.shape} and {w.shape}")
     s = x.data.shape[:-1]
@@ -330,28 +376,37 @@ def _correlate(name: str, x: Tensor, w: Tensor) -> Tensor:
     tmp = np.empty_like(acc_rows)
     for o in windows:
         shift = sum(a * stride for a, stride in zip(o, strides))
-        np.matmul(rows[shift:shift + m], w.data[o], out=tmp)
+        np.matmul(rows[shift:shift + m], kernel[o], out=tmp)
         acc_rows += tmp
     data = acc[tuple(slice(n) for n in s)]
 
     def vjp_x(g: Array) -> Array:
         gp = np.zeros_like(xp)
         for o, win in windows.items():
-            gp[win] += (g.reshape(-1, cout) @ w.data[o].T).reshape(s + (cin,))
+            gp[win] += (g.reshape(-1, cout) @ kernel[o].T).reshape(s + (cin,))
         return gp[inner]
 
-    def vjp_w(g: Array) -> Array:
-        grads = [xp[win].reshape(-1, cin).T @ g.reshape(-1, cout) for win in windows.values()]
+    def weight_grad(xe: Array, ge: Array, wins) -> Array:
+        grads = [xe[win].reshape(-1, cin).T @ ge.reshape(-1, cout) for win in wins]
         return np.stack(grads).reshape(w.data.shape)
+
+    def vjp_w(g: Array) -> Array:
+        if not batched:
+            return weight_grad(xp, g, windows.values())
+        element_wins = [win[1:] for win in windows.values()]  # drop the batch-axis slice
+        return _batch_sum([weight_grad(xe, ge, element_wins) for xe, ge in zip(xp, g)])
 
     return _op(data, [(x, vjp_x), (w, vjp_w)])
 
 
 def conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Same-padded correlation along axis 0: [T, C_in] x [k, C_in, C_out] -> [T, C_out]."""
-    if x.data.ndim != 2 or w.data.ndim != 3:
-        raise ShapeError(f"conv1d: expected [T,Cin] and [k,Cin,Cout], got {x.shape} and {w.shape}")
-    return _correlate("conv1d", x, w)
+    """Same-padded correlation along the time axis: [T, C_in] x [k, C_in, C_out] -> [T, C_out],
+    or batched, [B, T, C_in] -> [B, T, C_out]."""
+    if x.data.ndim not in (2, 3) or w.data.ndim != 3:
+        raise ShapeError(
+            f"conv1d: expected [T,Cin] or [B,T,Cin] and [k,Cin,Cout], got {x.shape} and {w.shape}"
+        )
+    return _correlate("conv1d", x, w, batched=x.data.ndim == 3)
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -362,28 +417,47 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
 
 def max_pool1d(x: Tensor) -> Tensor:
-    """Width-2 stride-2 max pooling along axis 0; ties go to the lower index."""
-    if x.data.ndim != 2 or x.data.shape[0] % 2 != 0:
-        raise ShapeError(f"max_pool1d: need even leading dim, got shape {x.shape}")
-    t, c = x.data.shape
-    pairs = x.data.reshape(t // 2, 2, c)
-    idx = np.argmax(pairs, axis=1)  # argmax takes the first max: low index wins ties
-    data = np.take_along_axis(pairs, idx[:, None, :], axis=1)[:, 0, :]
+    """Width-2 stride-2 max pooling along the time axis of [T, C] or batched [B, T, C];
+    ties go to the lower index."""
+    if x.data.ndim not in (2, 3) or x.data.shape[-2] % 2 != 0:
+        raise ShapeError(f"max_pool1d: need [T,C] or [B,T,C] with even T, got shape {x.shape}")
+    even, odd = x.data[..., 0::2, :], x.data[..., 1::2, :]
+    first = even >= odd
+    data = np.where(first, even, odd)
 
     def vjp(g: Array) -> Array:
-        gp = np.zeros_like(pairs)
-        np.put_along_axis(gp, idx[:, None, :], g[:, None, :], axis=1)
-        return gp.reshape(t, c)
+        gp = np.empty_like(x.data)
+        gp[..., 0::2, :] = np.where(first, g, 0.0)
+        gp[..., 1::2, :] = np.where(first, 0.0, g)
+        return gp
 
     return _op(data, [(x, vjp)])
 
 
 def upsample1d(x: Tensor) -> Tensor:
-    """Nearest-neighbour factor-2 upsampling along axis 0."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"upsample1d: expected 2-d tensor, got shape {x.shape}")
-    data = np.repeat(x.data, 2, axis=0)
-    return _op(data, [(x, lambda g: g[0::2] + g[1::2])])
+    """Nearest-neighbour factor-2 upsampling along the time axis of [T, C] or batched [B, T, C]."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"upsample1d: expected [T,C] or [B,T,C], got shape {x.shape}")
+    data = np.repeat(x.data, 2, axis=-2)
+    return _op(data, [(x, lambda g: g[..., 0::2, :] + g[..., 1::2, :])])
+
+
+def batch_element(a: Tensor, i: int) -> Tensor:
+    """Element i of a leading batch axis: [B, *S] -> [*S].
+
+    The VJP fills the other elements with -0.0, the exact additive identity
+    (x + -0.0 == x for every x, +0.0 included), so adding it to another
+    gradient of `a` leaves that gradient's bytes as they are.
+    """
+    if a.data.ndim < 1 or not 0 <= i < a.data.shape[0]:
+        raise ShapeError(f"batch_element: no element {i} in shape {a.shape}")
+
+    def vjp(g: Array) -> Array:
+        full = np.full(a.data.shape, -0.0)
+        full[i] = g
+        return full
+
+    return _op(a.data[i], [(a, vjp)])
 
 
 def _offset_windows(x: Array, l: int) -> Array:
@@ -462,7 +536,8 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-5) ->
     y = f(x)
     if y.data.size != 1:
         raise ShapeError(f"grad_check: f must be scalar-valued, got shape {y.shape}")
-    y.backward()
+    if y.requires_grad:  # an f that ignores x has a zero gradient, and nothing to backpropagate
+        y.backward()
     analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
     probe = point.data.copy()
     numeric = central_differences(lambda: f(Tensor(probe)).data.reshape(1), probe, h).ravel()

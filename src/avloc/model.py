@@ -11,8 +11,12 @@ with a frame classifier, then two heads on the fused per-frame features:
 * a frame-probability head, a 2-level U-Net over time producing a [T, 3]
   tensor of per-frame probabilities, columns start / end / content.
 
-The whole model runs on the forward stream and on the time-reversed stream;
-the boundary-map head sees only the forward features.
+The encoder, the fusion and the frame head run once per clip on a stacked
+pair: the forward stream and the time-reversed stream, as element 0 and 1
+of a leading batch axis ([2, T, .]), with shared weights. The boundary-map
+head reads only the forward element. Per-element gradients of the shared
+weights are added across the pair, so the outputs and gradients carry the
+bytes of one pass per direction.
 """
 
 from __future__ import annotations
@@ -164,14 +168,19 @@ def parameter_group(name: str) -> str:
     return name.split(".", 1)[0]
 
 
+# Elements of the stacked pair's batch axis.
+FORWARD, BACKWARD = 0, 1
+
+
 @dataclass
 class EncodeOutput:
-    """Fused per-frame features and intermediates for one direction."""
+    """Fused per-frame features and intermediates, stacked [forward, backward]
+    along a leading batch axis; the backward element is in reversed time."""
 
-    fused: Tensor        # [T, C+1]
-    f_av: Tensor         # [T, C] audio-queried cross-attention output
-    f_va: Tensor         # [T, C] visual-queried cross-attention output
-    frame_probs: Tensor  # [T, 1] frame-level fake probability
+    fused: Tensor        # [2, T, C+1]
+    f_av: Tensor         # [2, T, C] audio-queried cross-attention output
+    f_va: Tensor         # [2, T, C] visual-queried cross-attention output
+    frame_probs: Tensor  # [2, T, 1] frame-level fake probability
 
 
 @dataclass
@@ -188,12 +197,18 @@ class ForwardOutput:
 
 def _cross_attention(query_feat: Tensor, kv_feat: Tensor, wq: Tensor, wk: Tensor,
                      wv: Tensor) -> Tensor:
+    """Per-element attention over a stacked pair: [B, T, C] queries and keys."""
     c = wq.shape[1]
     q = ad.matmul(query_feat, wq)
     k = ad.matmul(kv_feat, wk)
     v = ad.matmul(kv_feat, wv)
     scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(c))
-    return ad.matmul(ad.softmax(scores, axis=1), v)
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+def _conv_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(conv1d(x, w) + b) over a stacked [B, T, C] batch."""
+    return ad.relu(ad.add(ad.conv1d(x, w), b, batched=True))
 
 
 class Model:
@@ -223,25 +238,24 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def encode_and_fuse(self, stream: FeatureStream, direction: str = "forward") -> EncodeOutput:
+    def encode_and_fuse(self, stream: FeatureStream) -> EncodeOutput:
+        """Encode and fuse the forward and the time-reversed stream as one stacked pair."""
         if stream.num_frames != self.cfg.num_frames:
             raise ValueError(
                 f"stream has {stream.num_frames} frames, model expects {self.cfg.num_frames}"
             )
-        if direction not in ("forward", "backward"):
-            raise ValueError(f"unknown direction {direction!r}")
-        audio, visual = stream.audio, stream.visual
-        if direction == "backward":
-            audio = audio[::-1]
-            visual = visual[::-1]
+        audio = Tensor(np.stack([stream.audio, stream.audio[::-1]]))
+        visual = Tensor(np.stack([stream.visual, stream.visual[::-1]]))
         p = self.params
-        f_a = ad.relu(ad.add(ad.conv1d(Tensor(audio), p["enc_audio.w"]), p["enc_audio.b"]))
-        f_v = ad.relu(ad.add(ad.conv1d(Tensor(visual), p["enc_visual.w"]), p["enc_visual.b"]))
+        f_a = _conv_relu(audio, p["enc_audio.w"], p["enc_audio.b"])
+        f_v = _conv_relu(visual, p["enc_visual.w"], p["enc_visual.b"])
         f_av = _cross_attention(f_a, f_v, p["att_av.q"], p["att_av.k"], p["att_av.v"])
         f_va = _cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"], p["att_va.v"])
-        fused = ad.add(ad.matmul(ad.concat([f_av, f_va], axis=1), p["fusion.w"]), p["fusion.b"])
-        frame_probs = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"]))
-        full = ad.concat([fused, frame_probs], axis=1)
+        fused = ad.add(ad.matmul(ad.concat([f_av, f_va], axis=-1), p["fusion.w"]), p["fusion.b"],
+                       batched=True)
+        frame_probs = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"],
+                                        batched=True))
+        full = ad.concat([fused, frame_probs], axis=-1)
         return EncodeOutput(fused=full, f_av=f_av, f_va=f_va, frame_probs=frame_probs)
 
     def boundary_map_head(self, fused: Tensor) -> Tensor:
@@ -260,36 +274,32 @@ class Model:
         return ad.reshape(out, (cfg.max_duration, cfg.num_frames))
 
     def frame_prob_head(self, fused: Tensor) -> Tensor:
-        """2-level U-Net over time: [T, C+1] -> [T, 3] start / end / content probabilities."""
+        """2-level U-Net over time on a stacked pair: [B, T, C+1] -> [B, T, 3]
+        start / end / content probabilities."""
         p = self.params
-        e1 = ad.relu(ad.add(ad.conv1d(fused, p["frame_head.enc1_w"]), p["frame_head.enc1_b"]))
+        e1 = _conv_relu(fused, p["frame_head.enc1_w"], p["frame_head.enc1_b"])
         p1 = ad.max_pool1d(e1)
-        e2 = ad.relu(ad.add(ad.conv1d(p1, p["frame_head.enc2_w"]), p["frame_head.enc2_b"]))
+        e2 = _conv_relu(p1, p["frame_head.enc2_w"], p["frame_head.enc2_b"])
         p2 = ad.max_pool1d(e2)
         u1 = ad.upsample1d(p2)
-        d1 = ad.relu(ad.add(
-            ad.conv1d(ad.concat([u1, e2], axis=1), p["frame_head.dec1_w"]),
-            p["frame_head.dec1_b"],
-        ))
+        d1 = _conv_relu(ad.concat([u1, e2], axis=-1), p["frame_head.dec1_w"], p["frame_head.dec1_b"])
         u2 = ad.upsample1d(d1)
-        d2 = ad.relu(ad.add(
-            ad.conv1d(ad.concat([u2, e1], axis=1), p["frame_head.dec2_w"]),
-            p["frame_head.dec2_b"],
-        ))
-        return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"]))
+        d2 = _conv_relu(ad.concat([u2, e1], axis=-1), p["frame_head.dec2_w"], p["frame_head.dec2_b"])
+        return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"],
+                                 batched=True))
 
     def forward_full(self, stream: FeatureStream) -> ForwardOutput:
-        fwd = self.encode_and_fuse(stream, "forward")
-        bwd = self.encode_and_fuse(stream, "backward")
+        enc = self.encode_and_fuse(stream)
+        probs = self.frame_prob_head(enc.fused)
         return ForwardOutput(
-            frame_probs=fwd.frame_probs,
-            boundary_map=self.boundary_map_head(fwd.fused),
-            probs_fwd=self.frame_prob_head(fwd.fused),
-            probs_bwd=self.frame_prob_head(bwd.fused),
-            f_av_fwd=fwd.f_av,
-            f_va_fwd=fwd.f_va,
-            f_av_bwd=bwd.f_av,
-            f_va_bwd=bwd.f_va,
+            frame_probs=ad.batch_element(enc.frame_probs, FORWARD),
+            boundary_map=self.boundary_map_head(ad.batch_element(enc.fused, FORWARD)),
+            probs_fwd=ad.batch_element(probs, FORWARD),
+            probs_bwd=ad.batch_element(probs, BACKWARD),
+            f_av_fwd=ad.batch_element(enc.f_av, FORWARD),
+            f_va_fwd=ad.batch_element(enc.f_va, FORWARD),
+            f_av_bwd=ad.batch_element(enc.f_av, BACKWARD),
+            f_va_bwd=ad.batch_element(enc.f_va, BACKWARD),
         )
 
 

@@ -5,9 +5,11 @@ sharing no code with the package implementations it checks, except the
 earlier implementations kept verbatim so that their faster successors can
 be pinned to their exact bytes: `reference_soft_nms`, the all-rows Soft-NMS
 loop; `reference_correlate`, the per-offset patch-copy correlation behind
-conv1d and conv2d; and `reference_banded_matmul`, the padded
-sliding-window offset-kernel product. The two ops return their output and
-VJP closures as plain arrays and functions instead of a Tensor.
+conv1d and conv2d; `reference_banded_matmul`, the padded sliding-window
+offset-kernel product; and `reference_max_pool1d`, the argmax pooling.
+These ops return their output and VJP closures as plain arrays and
+functions instead of a Tensor. `reference_forward_full` is the earlier
+two-pass model forward, one encoder and frame-head pass per direction.
 JSON_VALUES and `corrupted_bytes` are the shared hypothesis strategies that
 fuzz the JSON and binary readers; `append_checkpoint_record` writes
 checkpoint records by hand.
@@ -21,7 +23,10 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
-from avloc.data import Segment, StreamAnnotation, interval_iou
+from avloc import autodiff as ad
+from avloc.autodiff import Tensor
+from avloc.data import FeatureStream, Segment, StreamAnnotation, interval_iou
+from avloc.model import ForwardOutput, Model
 
 
 def _json_containers(inner):
@@ -299,6 +304,87 @@ def reference_banded_matmul(kernel: np.ndarray, x: np.ndarray):
         return gp[:t]
 
     return data, vjp_kernel, vjp_x
+
+
+def reference_max_pool1d(x: np.ndarray):
+    """Width-2 stride-2 max pooling of [T, C] -> (out [T/2, C], vjp).
+
+    The earlier `autodiff.max_pool1d`, copied verbatim but for the array
+    argument: argmax, take_along_axis and put_along_axis.
+    """
+    t, c = x.shape
+    pairs = x.reshape(t // 2, 2, c)
+    idx = np.argmax(pairs, axis=1)  # argmax takes the first max: low index wins ties
+    data = np.take_along_axis(pairs, idx[:, None, :], axis=1)[:, 0, :]
+
+    def vjp(g):
+        gp = np.zeros_like(pairs)
+        np.put_along_axis(gp, idx[:, None, :], g[:, None, :], axis=1)
+        return gp.reshape(t, c)
+
+    return data, vjp
+
+
+def _reference_cross_attention(query_feat, kv_feat, wq, wk, wv):
+    c = wq.shape[1]
+    q = ad.matmul(query_feat, wq)
+    k = ad.matmul(kv_feat, wk)
+    v = ad.matmul(kv_feat, wv)
+    scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(c))
+    return ad.matmul(ad.softmax(scores, axis=1), v)
+
+
+def _reference_encode_and_fuse(model: Model, stream: FeatureStream, direction: str):
+    audio, visual = stream.audio, stream.visual
+    if direction == "backward":
+        audio = audio[::-1]
+        visual = visual[::-1]
+    p = model.params
+    f_a = ad.relu(ad.add(ad.conv1d(Tensor(audio), p["enc_audio.w"]), p["enc_audio.b"]))
+    f_v = ad.relu(ad.add(ad.conv1d(Tensor(visual), p["enc_visual.w"]), p["enc_visual.b"]))
+    f_av = _reference_cross_attention(f_a, f_v, p["att_av.q"], p["att_av.k"], p["att_av.v"])
+    f_va = _reference_cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"], p["att_va.v"])
+    fused = ad.add(ad.matmul(ad.concat([f_av, f_va], axis=1), p["fusion.w"]), p["fusion.b"])
+    frame_probs = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"]))
+    full = ad.concat([fused, frame_probs], axis=1)
+    return full, f_av, f_va, frame_probs
+
+
+def _reference_frame_prob_head(model: Model, fused):
+    p = model.params
+    e1 = ad.relu(ad.add(ad.conv1d(fused, p["frame_head.enc1_w"]), p["frame_head.enc1_b"]))
+    p1 = ad.max_pool1d(e1)
+    e2 = ad.relu(ad.add(ad.conv1d(p1, p["frame_head.enc2_w"]), p["frame_head.enc2_b"]))
+    p2 = ad.max_pool1d(e2)
+    u1 = ad.upsample1d(p2)
+    d1 = ad.relu(ad.add(
+        ad.conv1d(ad.concat([u1, e2], axis=1), p["frame_head.dec1_w"]),
+        p["frame_head.dec1_b"],
+    ))
+    u2 = ad.upsample1d(d1)
+    d2 = ad.relu(ad.add(
+        ad.conv1d(ad.concat([u2, e1], axis=1), p["frame_head.dec2_w"]),
+        p["frame_head.dec2_b"],
+    ))
+    return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"]))
+
+
+def reference_forward_full(model: Model, stream: FeatureStream) -> ForwardOutput:
+    """The earlier `Model.forward_full`, copied verbatim but for the model
+    argument: the encoder and the frame head run once per direction on
+    unbatched [T, .] tensors; the boundary-map head is the model's own."""
+    fwd = _reference_encode_and_fuse(model, stream, "forward")
+    bwd = _reference_encode_and_fuse(model, stream, "backward")
+    return ForwardOutput(
+        frame_probs=fwd[3],
+        boundary_map=model.boundary_map_head(fwd[0]),
+        probs_fwd=_reference_frame_prob_head(model, fwd[0]),
+        probs_bwd=_reference_frame_prob_head(model, bwd[0]),
+        f_av_fwd=fwd[1],
+        f_va_fwd=fwd[2],
+        f_av_bwd=bwd[1],
+        f_va_bwd=bwd[2],
+    )
 
 
 def brute_force_pr_curve(

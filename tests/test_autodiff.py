@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from avloc import autodiff as ad
 from avloc.autodiff import ShapeError, Tensor, grad_check
-from oracles import reference_banded_matmul, reference_correlate
+from oracles import reference_banded_matmul, reference_correlate, reference_max_pool1d
 
 RNG = np.random.default_rng(1234)
 GRAD_TOL = 1e-4
@@ -50,6 +50,20 @@ def test_backward_requires_scalar():
     y = ad.relu(x)
     with pytest.raises(ShapeError, match="scalar"):
         y.backward()
+
+
+def test_backward_on_untracked_loss_names_no_grad():
+    x = Tensor(rand(3), requires_grad=True)
+    with ad.no_grad():
+        loss = ad.mean(ad.mul(x, x))
+    with pytest.raises(ValueError, match=r"no_grad\(\)"):
+        loss.backward()
+    assert x.grad is None
+
+
+def test_grad_check_of_a_function_that_ignores_x_is_zero():
+    c = Tensor(rand(3))
+    assert grad_check(lambda x: ad.mean(ad.mul(c, c)), Tensor(rand(4)), h=H) == 0.0
 
 
 def test_grad_accumulates_across_two_consumers():
@@ -126,6 +140,22 @@ def test_max_pool_ties_route_to_lowest_index():
     x = Tensor(np.array([[1.0], [1.0]]), requires_grad=True)
     ad.mean(ad.max_pool1d(x)).backward()
     np.testing.assert_array_equal(x.grad.ravel(), [1.0, 0.0])
+    # Batched [2, T, C]: the rule holds in each element.
+    xb = Tensor(np.array([[[1.0], [1.0]], [[-2.0], [-2.0]]]), requires_grad=True)
+    ad.mean(ad.max_pool1d(xb)).backward()
+    np.testing.assert_array_equal(xb.grad.ravel(), [0.5, 0.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(64, 8), (128, 32), (2, 3)])
+def test_max_pool_bytes_match_argmax_reference(shape):
+    rng = np.random.default_rng(list(shape))
+    x = rng.integers(-2, 3, shape).astype(np.float64)  # small integers: many ties
+    x[::3] += rng.uniform(-1, 1, x[::3].shape)
+    out = ad.max_pool1d(Tensor(x, requires_grad=True))
+    want, want_vjp = reference_max_pool1d(x)
+    assert out.data.tobytes() == want.tobytes()
+    g = rng.uniform(-2, 2, want.shape)
+    assert out._parents[0][1](g).tobytes() == want_vjp(g).tobytes()
 
 
 def test_upsample_then_pool_roundtrip_shape():
@@ -190,6 +220,78 @@ def test_banded_matmul_bytes_match_sliding_window_reference(l, t, d):
     g = rng.uniform(-2, 2, want.shape)
     for (_, vjp), want_vjp in zip(out._parents, want_vjps, strict=True):
         assert vjp(g).tobytes() == want_vjp(g).tobytes()
+
+
+# Batched op vs the same op once per element: (batched op, unbatched op,
+# per-element operand shapes, which operands carry the batch axis). A
+# stacked operand's VJP must equal the per-element VJPs; a shared operand's
+# (a weight, a bias) must equal element 0's plus element 1's.
+BATCH_CASES = {
+    "conv1d_small": (ad.conv1d, ad.conv1d, [(64, 9), (3, 9, 8)], (True, False)),
+    "conv1d_default": (ad.conv1d, ad.conv1d, [(128, 16), (3, 16, 32)], (True, False)),
+    "conv1d_pointwise": (ad.conv1d, ad.conv1d, [(64, 8), (1, 8, 3)], (True, False)),
+    "matmul_shared": (ad.matmul, ad.matmul, [(64, 16), (16, 8)], (True, False)),
+    "matmul_shared_column": (ad.matmul, ad.matmul, [(128, 32), (32, 1)], (True, False)),
+    "matmul_stacked": (ad.matmul, ad.matmul, [(64, 8), (8, 64)], (True, True)),
+    "transpose": (ad.transpose, ad.transpose, [(64, 8)], (True,)),
+    "softmax": (lambda a: ad.softmax(a, axis=-1), lambda a: ad.softmax(a, axis=1),
+                [(64, 64)], (True,)),
+    "max_pool1d": (ad.max_pool1d, ad.max_pool1d, [(64, 8)], (True,)),
+    "upsample1d": (ad.upsample1d, ad.upsample1d, [(32, 8)], (True,)),
+    "add_bias": (lambda a, b: ad.add(a, b, batched=True), ad.add, [(64, 8), (8,)], (True, False)),
+    "add_bias_column": (lambda a, b: ad.add(a, b, batched=True), ad.add,
+                        [(128, 1), (1,)], (True, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_op_bytes_match_per_element_calls(name):
+    batched_op, op, shapes, stacked = BATCH_CASES[name]
+    rng = np.random.default_rng(sorted(BATCH_CASES).index(name))
+    arrays = [rng.uniform(-2, 2, (2,) + s if st else s) for s, st in zip(shapes, stacked)]
+    out = batched_op(*(Tensor(a, requires_grad=True) for a in arrays))
+    g = rng.uniform(-2, 2, out.shape)
+    vjps = [vjp(g) for _, vjp in out._parents]
+    per_element = []
+    for i in range(2):
+        single = op(*(Tensor(a[i] if st else a, requires_grad=True) for a, st in zip(arrays, stacked)))
+        assert out.data[i].tobytes() == single.data.tobytes()
+        per_element.append([vjp(g[i]) for _, vjp in single._parents])
+    for k, st in enumerate(stacked):
+        if st:
+            for i in range(2):
+                assert vjps[k][i].tobytes() == per_element[i][k].tobytes(), (k, i)
+        else:
+            assert vjps[k].tobytes() == (per_element[0][k] + per_element[1][k]).tobytes(), k
+
+
+def test_batch_element_reads_one_element_and_adds_exactly():
+    x = Tensor(rand(2, 3, 4), requires_grad=True)
+    one = ad.batch_element(x, 1)
+    assert one.data.tobytes() == x.data[1].tobytes()
+    g = np.array([[-0.0, 0.0, 1.5, -2.0]] * 3)
+    full = one._parents[0][1](g)
+    assert full[1].tobytes() == g.tobytes()
+    assert np.all(full[0] == 0.0) and np.all(np.signbit(full[0]))  # -0.0 everywhere
+    other = rand(2, 3, 4)
+    other[1] = -0.0
+    assert (other + full)[0].tobytes() == other[0].tobytes()
+    assert (other + full)[1].tobytes() == g.tobytes()
+    with pytest.raises(ShapeError, match="batch_element"):
+        ad.batch_element(x, 2)
+
+
+def test_batch_axis_is_marked_not_inferred():
+    # A 3-d conv2d input and a [L, T, C] + [C] bias add are spatial, not batched.
+    x, w = rand(2, 6, 4), rand(3, 3, 4, 2)
+    assert ad.conv2d(Tensor(x), Tensor(w)).shape == (2, 6, 2)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    ad.mean(ad.add(Tensor(x), b)).backward()  # one reduction over both leading axes
+    assert b.grad.tobytes() == np.full(x.shape, 1.0 / x.size).sum(axis=(0, 1)).tobytes()
+    with pytest.raises(ShapeError, match="matmul"):
+        ad.matmul(Tensor(rand(2, 3, 4)), Tensor(rand(3, 4, 2)))
+    with pytest.raises(ShapeError, match="conv1d"):
+        ad.conv1d(Tensor(rand(2, 6, 4)), Tensor(rand(3, 5, 2)))
 
 
 def test_no_grad_outputs_have_no_parents():
@@ -269,6 +371,20 @@ OP_CASES = {
     "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
     "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (4, 4)),
     "banded_matmul_x_square": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
+    # Batched forms: a leading batch axis of 2.
+    "conv1d_x_batched": lambda: ((lambda x, c=Tensor(rand(3, 4, 2)): _sq_mean(ad.conv1d(x, c))), (2, 6, 4)),
+    "conv1d_w_batched": lambda: ((lambda w, c=Tensor(rand(2, 6, 4)): _sq_mean(ad.conv1d(c, w))), (3, 4, 2)),
+    "matmul_left_batched": lambda: ((lambda x, c=Tensor(rand(4, 3)): _sq_mean(ad.matmul(x, c))), (2, 5, 4)),
+    "matmul_shared_right_batched": lambda: ((lambda x, c=Tensor(rand(2, 5, 4)): _sq_mean(ad.matmul(c, x))), (4, 3)),
+    "matmul_both_left_batched": lambda: ((lambda x, c=Tensor(rand(2, 4, 3)): _sq_mean(ad.matmul(x, c))), (2, 5, 4)),
+    "matmul_both_right_batched": lambda: ((lambda x, c=Tensor(rand(2, 5, 4)): _sq_mean(ad.matmul(c, x))), (2, 4, 3)),
+    "transpose_batched": lambda: ((lambda x: _sq_mean(ad.transpose(x))), (2, 4, 3)),
+    "softmax_batched": lambda: ((lambda x: _sq_mean(ad.softmax(x, axis=-1))), (2, 4, 4)),
+    "max_pool1d_batched": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (2, 6, 4)),
+    "upsample1d_batched": lambda: ((lambda x: _sq_mean(ad.upsample1d(x))), (2, 4, 3)),
+    "add_bias_batched": lambda: ((lambda x, c=Tensor(rand(2, 5, 4)): _sq_mean(ad.add(c, x, batched=True))), (4,)),
+    "batch_element": lambda: ((lambda x: _sq_mean(ad.add(
+        ad.batch_element(x, 0), ad.mul(ad.batch_element(x, 1), ad.batch_element(x, 1))))), (2, 4, 3)),
 }
 
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from avloc import autodiff as ad
 from avloc.autodiff import Tensor
 from avloc.data import FeatureStream, SynthConfig, generate_clip
 from avloc.gradcheck import TINY_MODEL
+from avloc.inference import InferenceConfig
 from avloc.labels import in_range_mask
+from avloc.losses import LossConfig
 from avloc.model import (
     CheckpointError,
+    ForwardOutput,
     Model,
     ModelConfig,
     build_sampling_mask,
@@ -19,7 +23,14 @@ from avloc.model import (
     parameter_count,
     save_checkpoint,
 )
-from oracles import append_checkpoint_record, brute_force_sampling_mask, corrupted_bytes
+from avloc.pipeline import predict_clip
+from avloc.train import build_targets, clip_losses
+from oracles import (
+    append_checkpoint_record,
+    brute_force_sampling_mask,
+    corrupted_bytes,
+    reference_forward_full,
+)
 
 TINY = ModelConfig(num_frames=16, d_audio=4, d_visual=4, channels=4,
                    max_duration=4, num_samples=4)
@@ -116,7 +127,7 @@ def test_zeroed_classifier_outputs_half():
 def test_fused_channel_count():
     model = Model(TINY, seed=0)
     out = model.encode_and_fuse(tiny_stream())
-    assert out.fused.shape == (TINY.num_frames, TINY.channels + 1)
+    assert out.fused.shape == (2, TINY.num_frames, TINY.channels + 1)  # [forward, backward]
 
 
 def test_identical_streams_with_shared_weights_are_symmetric():
@@ -140,7 +151,7 @@ def test_attention_rows_are_distributions():
 def test_map_head_shape_and_zero_projection():
     model = Model(TINY, seed=0)
     model.params["map_head.out_w"].data[:] = 0.0
-    fused = model.encode_and_fuse(tiny_stream()).fused
+    fused = ad.batch_element(model.encode_and_fuse(tiny_stream()).fused, 0)
     bmap = model.boundary_map_head(fused)
     assert bmap.shape == (TINY.max_duration, TINY.num_frames)
     np.testing.assert_allclose(bmap.data, 0.5)
@@ -194,7 +205,7 @@ def test_frame_head_shapes_and_zero_head():
     model = Model(TINY, seed=0)
     model.params["frame_head.out_w"].data[:] = 0.0
     probs = model.frame_prob_head(model.encode_and_fuse(tiny_stream()).fused)
-    assert probs.shape == (TINY.num_frames, 3)
+    assert probs.shape == (2, TINY.num_frames, 3)
     np.testing.assert_allclose(probs.data, 0.5)
 
 
@@ -247,6 +258,61 @@ def test_palindromic_input_gives_identical_directions():
     # Reversing a palindromic stream is a no-op, so the raw backward pass
     # must equal the raw forward pass bit for bit.
     np.testing.assert_array_equal(out.probs_bwd.data, out.probs_fwd.data)
+
+
+def _clip_for(cfg, seed=0):
+    synth = SynthConfig(count=1, num_frames=cfg.num_frames, d_audio=cfg.d_audio,
+                        d_visual=cfg.d_visual, min_segments=1, max_segments=2,
+                        min_len=2, max_len=cfg.max_duration)
+    return generate_clip(synth, np.random.default_rng(seed), "c")
+
+
+@pytest.mark.parametrize("cfg", [TINY, SMALL, ModelConfig()], ids=["tiny", "small", "default"])
+def test_stacked_forward_bytes_match_two_pass_reference(cfg, monkeypatch):
+    # One stacked pass per clip against one pass per direction: every
+    # ForwardOutput field, every parameter's gradient after a clip's total
+    # loss, and the predictions of both fusion modes, byte for byte.
+    clip = _clip_for(cfg, seed=cfg.num_frames)
+    targets = build_targets(clip[1], cfg.max_duration, 1.0)
+    runs = []
+    for stacked in (True, False):
+        model = Model(cfg, seed=2)
+        if not stacked:
+            monkeypatch.setattr(model, "forward_full", lambda s, m=model: reference_forward_full(m, s))
+        out = model.forward_full(clip[0])
+        outputs = {f.name: getattr(out, f.name).data.tobytes() for f in fields(ForwardOutput)}
+        clip_losses(model, clip, targets, LossConfig()).total.backward()
+        grads = {name: p.grad.tobytes() for name, p in model.params.items()}
+        preds = {fusion: predict_clip(model, clip, InferenceConfig(), fusion)
+                 for fusion in ("both", "forward")}
+        runs.append((outputs, grads, preds))
+    (outputs, grads, preds), (want_outputs, want_grads, want_preds) = runs
+    for name in want_outputs:
+        assert outputs[name] == want_outputs[name], name
+    for name in want_grads:
+        assert grads[name] == want_grads[name], name
+    assert preds == want_preds
+
+
+def _recorded_ops(loss):
+    """Op nodes reachable from `loss`, each counted once."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += bool(node._parents)
+            stack.extend(parent for parent, _ in node._parents)
+    return count
+
+
+def test_small_clip_step_op_count():
+    # One stacked pass for both directions: 128 recorded ops per clip on the
+    # criterion-8 small config, down from 171 with one pass per direction.
+    clip = _clip_for(SMALL)
+    losses = clip_losses(Model(SMALL, seed=0), clip, build_targets(clip[1], SMALL.max_duration, 1.0),
+                         LossConfig())
+    assert _recorded_ops(losses.total) == 128
 
 
 def test_wrong_frame_count_rejected():
