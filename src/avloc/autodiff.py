@@ -3,8 +3,13 @@
 Just enough tensor algebra for the two-stream localization model and its
 losses. Every op records its parents and a vector-Jacobian closure on the
 output tensor; backward() replays the graph once in reverse topological
-order. Graphs are built per forward pass and garbage-collected with their
-tensors, so independent forward passes never share state. Inside a
+order. Graphs are built per forward pass and released by backward(): each
+op node drops its parents and VJP closures once its VJPs have run, so
+independent forward passes never share state and a graph's arrays are freed
+as soon as its gradients are taken. A second backward() that reaches a
+released node, on the same loss or on another loss sharing the forward,
+raises "ValueError: backward: the graph was released by an earlier
+backward()" before any gradient changes; recompute the forward. Inside a
 `with no_grad():` block ops record no graph: their outputs are untracked
 tensors with no parents, for passes that never call backward().
 
@@ -47,9 +52,11 @@ class Tensor:
     """Dense float64 tensor participating in the autodiff graph.
 
     Tensors produced by ops keep references to their parents together with
-    the local vector-Jacobian products. After backward() on a scalar loss,
-    every leaf created with requires_grad=True has its gradient accumulated
-    into .grad (summed across all uses of the tensor).
+    the local vector-Jacobian products, until backward() consumes them. After
+    backward() on a scalar loss, every leaf created with requires_grad=True
+    has its gradient accumulated into .grad (summed across all uses of the
+    tensor), and every op tensor the loss reached keeps its .data but is
+    released (_parents is None): it can no longer be backpropagated through.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents")
@@ -58,7 +65,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Array | None = None
-        self._parents: tuple[tuple[Tensor, Callable[[Array], Array]], ...] = ()
+        self._parents: tuple[tuple[Tensor, Callable[[Array], Array]], ...] | None = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,7 +110,14 @@ class Tensor:
         return matmul(self, _lift(other))
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into all requires_grad leaves."""
+        """Accumulate gradients of this scalar into all requires_grad leaves.
+
+        Consumes the graph: each op node drops its parents and VJP closures
+        (and the forward arrays they hold) once its VJPs have run, so only
+        leaves and the tensors the caller still holds outlive the call. A
+        later backward() that reaches a released node raises ValueError
+        before any .grad changes.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward: loss must be scalar, got shape {self.shape}"
@@ -123,19 +137,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ValueError(
+                    "backward: the graph was released by an earlier backward(); "
+                    "recompute the forward pass to backpropagate again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for parent, _ in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and not node._parents:
+        while topo:
+            node = topo.pop()
+            g = grads.pop(id(node))
+            parents = node._parents
+            if parents == ():  # a requires_grad leaf
                 node.grad = g if node.grad is None else node.grad + g
-            for parent, vjp in node._parents:
+                continue
+            node._parents = None  # released, with its VJP closures and the arrays they hold
+            for parent, vjp in parents:
                 contrib = vjp(g)
                 pid = id(parent)
                 if pid in grads:

@@ -89,7 +89,7 @@ def boundary_map_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Ten
     count = int(mask.sum())
     if count == 0:
         raise ValueError("boundary map loss: mask selects no cells")
-    diff = pred - Tensor(target)
+    diff = ad.add(pred, Tensor(-target))
     masked = ad.mul(ad.mul(diff, diff), Tensor(mask.astype(np.float64)))
     return ad.scalar_mul(ad.mean(masked), masked.size / count)
 

@@ -4,7 +4,10 @@ Supervision targets are precomputed once per clip as plain float64 arrays
 in the heads' layouts: frame labels [T], boundary map and its in-range mask
 [L, T], and forward and backward triplets [T, 3] (columns start, end,
 content). Each optimization step accumulates gradients over a batch of
-clips, scales by the batch size, and applies one parameter update. The
+clips, scales by the batch size, and applies one parameter update. A
+clip whose four loss values are not all finite stops training with a
+ValueError that names the epoch, step and clip. backward() releases each
+clip's graph as it takes the gradients, so one graph is live at a time. The
 learning rate halves whenever validation loss has not improved for
 `patience` consecutive epochs, and the best-validation parameters are
 restored at the end.
@@ -171,8 +174,15 @@ def train(
             sums = np.zeros(4)
             for idx in batch:
                 losses = clip_losses(model, train_clips[idx], train_targets[idx], loss_cfg)
+                values = losses.values()
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(
+                        f"train: non-finite loss at epoch {epoch}, step {step + 1}, clip "
+                        f"{train_clips[idx][1].id!r}: contrastive, boundary, frame, total = "
+                        f"{', '.join(map(repr, values))}"
+                    )
                 losses.total.backward()
-                sums += losses.values()
+                sums += values
             opt.step(1.0 / len(batch))
             step += 1
             avg = sums / len(batch)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,35 @@ def test_repeated_backward_accumulates_into_leaf():
     ad.mean(x).backward()
     ad.mean(x).backward()
     np.testing.assert_allclose(x.grad, [1.0, 1.0])
+
+
+def test_backward_frees_interior_arrays_the_caller_dropped():
+    x = Tensor(rand(5), requires_grad=True)
+    hidden = ad.relu(x)
+    interior = weakref.ref(hidden.data)
+    loss = ad.mean(ad.mul(hidden, hidden))
+    del hidden
+    assert interior() is not None  # held by mul's VJP closure until backward()
+    loss.backward()
+    assert interior() is None
+    assert loss.item() >= 0.0 and x.grad is not None  # the loss keeps its value
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor(rand(4), requires_grad=True)
+    hidden = ad.sigmoid(x)
+    loss = ad.mean(ad.mul(hidden, hidden))
+    sibling = ad.mean(hidden)
+    loss.backward()
+    grad = x.grad.copy()
+    for again in (loss, sibling):
+        with pytest.raises(ValueError, match=r"released by an earlier backward\(\)"):
+            again.backward()
+        assert x.grad.tobytes() == grad.tobytes()
+    fresh = Tensor(x.data.copy(), requires_grad=True)
+    ad.mean(ad.sigmoid(fresh)).backward()
+    ad.mean(ad.sigmoid(x)).backward()  # a new forward from the same leaf still backpropagates
+    assert x.grad.tobytes() == (grad + fresh.grad).tobytes()
 
 
 def test_forward_bit_identical():

@@ -202,6 +202,23 @@ def test_full_pipeline_smoke(dataset, config_path, tmp_path):
     assert len(rows) == 7  # three AP rows + three AR rows
 
 
+def test_non_finite_training_loss_exits_2_naming_the_clip(dataset, config_path, tmp_path,
+                                                          capsys, monkeypatch):
+    def nan_bias_model(cfg, seed):
+        model = Model(cfg, seed=seed)
+        model.params["map_head.out_b"].data[:] = float("nan")
+        return model
+
+    monkeypatch.setattr("avloc.cli.Model", nan_bias_model)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path, "--data", str(dataset),
+                 "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite loss at epoch 0, step 1, clip 'train-" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_infer_rejects_mismatched_checkpoint(dataset, config_path, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config_path, "--data", str(dataset),

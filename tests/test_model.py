@@ -315,6 +315,27 @@ def test_small_clip_step_op_count():
     assert _recorded_ops(losses.total) == 128
 
 
+def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
+    # Every op call of a training clip-step records a graph node: 129 calls on
+    # the small config. The boundary-map loss negates its constant target in
+    # numpy instead of through an untracked scalar_mul op call.
+    clip = _clip_for(SMALL)
+    model = Model(SMALL, seed=0)
+    targets = build_targets(clip[1], SMALL.max_duration, 1.0)
+    tracked = []
+    real_op = ad._op
+
+    def spy(data, parents):
+        out = real_op(data, parents)
+        tracked.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_op", spy)
+    clip_losses(model, clip, targets, LossConfig())
+    assert len(tracked) == 129
+    assert all(tracked)
+
+
 def test_wrong_frame_count_rejected():
     model = Model(TINY, seed=0)
     with pytest.raises(ValueError, match="frames"):

@@ -1,0 +1,56 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from avloc.data import SynthConfig, generate_dataset
+from avloc.losses import LossConfig
+from avloc.model import Model, ModelConfig
+from avloc.train import OptimConfig, build_targets, clip_losses, train
+
+SMALL = ModelConfig(num_frames=64, d_audio=8, d_visual=8, channels=8,
+                    max_duration=12, num_samples=4)  # criterion 8's model
+
+
+def _clips(cfg, count, seed=0):
+    synth = SynthConfig(count=count, num_frames=cfg.num_frames, d_audio=cfg.d_audio,
+                        d_visual=cfg.d_visual, min_segments=1, max_segments=2,
+                        min_len=2, max_len=cfg.max_duration)
+    return generate_dataset(synth, seed=seed)
+
+
+def test_non_finite_loss_stops_training_naming_the_clip():
+    # A NaN boundary-map bias makes the boundary and total losses NaN on the
+    # first clip; training must stop there instead of stepping on NaN.
+    clips = _clips(SMALL, 4)
+    model = Model(SMALL, seed=0)
+    model.params["map_head.out_b"].data[:] = np.nan
+    with pytest.raises(ValueError, match="non-finite loss") as err:
+        train(model, clips, [], LossConfig(), OptimConfig(epochs=1, batch_size=2))
+    message = str(err.value)
+    assert "epoch 0, step 1" in message
+    assert any(repr(ann.id) in message for _, ann in clips)
+    assert "nan" in message
+
+
+def test_training_peak_holds_one_clip_graph():
+    # backward() releases each clip's graph, so the next clip's forward does
+    # not run with the previous graph alive: the traced peak of a training run
+    # stays well under two graphs.
+    cfg = ModelConfig()
+    clips = _clips(cfg, 4, seed=3)
+    targets = build_targets(clips[0][1], cfg.max_duration, 1.0)
+    model = Model(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        losses = clip_losses(model, clips[0], targets, LossConfig())
+        graph = tracemalloc.get_traced_memory()[0] - base
+        del losses
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        train(model, clips, [], LossConfig(), OptimConfig(epochs=1, batch_size=2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * graph, f"peak {peak / 2**20:.1f} MiB, graph {graph / 2**20:.1f} MiB"
