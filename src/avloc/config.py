@@ -87,8 +87,8 @@ def _build_section(section: str, cls, obj: dict, renames: dict[str, str] | None 
     kwargs = _field_values(f"{section}.", cls, obj, renames)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # each section's checks name the section
+        raise ConfigError(str(exc)) from exc
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:

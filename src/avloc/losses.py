@@ -8,10 +8,13 @@ Three terms combined as alpha * contrastive + boundary-map MSE + focal sum:
   per-frame distance);
 * a masked MSE between the predicted and target boundary maps, averaged
   over in-range cells only;
-* a class-balanced focal loss on the frame head's [T, 3] start / end /
-  content output of each direction.
+* a class-balanced focal loss on the frame head's start / end / content
+  output of both directions.
 
-Targets are plain float64 arrays in the heads' layouts (see `labels`).
+The contrastive and focal terms read the model's stacked direction pair
+([2, T, .], element 1 in reversed time) as it is, one op chain for both
+directions. Targets are plain float64 arrays in the heads' layouts (see
+`labels`).
 """
 
 from __future__ import annotations
@@ -45,37 +48,26 @@ class LossConfig:
             raise ValueError("loss.label_threshold: must be in (0, 1)")
 
 
-def _row_norm(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row L2 distance between two [T, C] tensors."""
-    if a.shape != b.shape:
-        raise ad.ShapeError(f"contrastive: embedding shapes differ, {a.shape} vs {b.shape}")
-    diff = a - b
-    return ad.sqrt(ad.scalar_mul(ad.mean(ad.mul(diff, diff), axis=1), a.shape[1]))
-
-
-def contrastive_loss(
-    f_av_fwd: Tensor,
-    f_va_fwd: Tensor,
-    f_av_bwd: Tensor,
-    f_va_bwd: Tensor,
-    y: np.ndarray,
-    cfg: LossConfig,
-) -> Tensor:
+def contrastive_loss(f_av: Tensor, f_va: Tensor, y: np.ndarray, cfg: LossConfig) -> Tensor:
     """Margin contrastive loss over per-frame cross-modal distances, y the [T] labels.
 
-    The backward-direction distance is re-indexed to forward time before
-    pairing with the labels, so frame t always compares against y[t].
+    f_av and f_va are stacked [2, T, C] pairs, element 1 in reversed time.
+    One row distance covers both elements; element 1's is flipped back to
+    forward time and added to element 0's, so frame t compares against y[t].
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != f_av_fwd.shape[0]:
+    if f_av.shape != f_va.shape or f_av.data.ndim != 3 or f_av.shape[0] != 2:
         raise ad.ShapeError(
-            f"contrastive: labels length {y.shape[0]} vs features {f_av_fwd.shape[0]}"
+            f"contrastive: expected two [2, T, C] pairs, got {f_av.shape} and {f_va.shape}"
         )
-    d = _row_norm(f_av_fwd, f_va_fwd) + ad.flip(_row_norm(f_av_bwd, f_va_bwd), axis=0)
-    y_t = Tensor(y)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[0] != f_av.shape[1]:
+        raise ad.ShapeError(f"contrastive: labels length {y.shape[0]} vs features {f_av.shape[1]}")
+    diff = f_av - f_va
+    dist = ad.sqrt(ad.scalar_mul(ad.mean(ad.mul(diff, diff), axis=-1), f_av.shape[-1]))  # [2, T]
+    d = ad.batch_element(dist, 0) + ad.flip(ad.batch_element(dist, 1), axis=0)
     pull = ad.mul(Tensor(1.0 - y), ad.mul(d, d))
     hinge = ad.relu(cfg.margin - d)
-    push = ad.mul(y_t, ad.mul(hinge, hinge))
+    push = ad.mul(Tensor(y), ad.mul(hinge, hinge))
     return ad.mean(pull + push)
 
 
@@ -94,11 +86,11 @@ def boundary_map_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Ten
     return ad.scalar_mul(ad.mean(masked), masked.size / count)
 
 
-def focal_loss(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Class-balanced focal BCE against the binarized soft labels.
+def _focal_terms(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
+    """Class-balanced focal BCE of each prediction against its binarized soft label.
 
     g = [target > threshold]; p_hat is the probability assigned to the true
-    class; each frame contributes weight * (1 - p_hat)^beta1 * BCE.
+    class; each entry is weight * (1 - p_hat)^beta1 * BCE.
     """
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -112,24 +104,29 @@ def focal_loss(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     p_hat = ad.mul(pred, Tensor(g)) + ad.mul(1.0 - pred, Tensor(1.0 - g))
     bce = -ad.log(p_hat)
     focus = ad.pow_const(1.0 - p_hat, cfg.beta1)
-    return ad.mean(ad.mul(Tensor(weight), ad.mul(focus, bce)))
+    return ad.mul(Tensor(weight), ad.mul(focus, bce))
 
 
-def frame_prob_loss(
-    pred_fwd: Tensor,
-    pred_bwd: Tensor,
-    true_fwd: np.ndarray,
-    true_bwd: np.ndarray,
-    cfg: LossConfig,
-) -> Tensor:
+def focal_loss(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
+    """Mean class-balanced focal BCE against the binarized soft labels."""
+    return ad.mean(_focal_terms(pred, target, cfg))
+
+
+def frame_prob_loss(probs: Tensor, triplets: np.ndarray, cfg: LossConfig) -> Tensor:
     """Sum of the six per-column focal terms (start/end/content, both directions).
 
-    Predictions and targets are [T, 3] with columns start, end, content. The
-    focal term is elementwise, so three times its mean over all 3T elements
-    is the sum of the three column means.
+    probs and triplets are stacked [2, T, 3] pairs, element 1 in reversed
+    time. The focal term is elementwise, so one pass covers both directions,
+    and 3 times a direction's mean is the sum of its three column means.
+    The mean is taken per direction, then 6 times the mean of the two (which
+    rounds like 3 times their sum): one mean over all 6T entries sums in
+    another order and can change the loss in its last bit.
     """
-    both = focal_loss(pred_fwd, true_fwd, cfg) + focal_loss(pred_bwd, true_bwd, cfg)
-    return ad.scalar_mul(both, 3.0)
+    if probs.data.ndim != 3 or probs.shape[0] != 2:
+        raise ad.ShapeError(f"frame prob loss: expected a [2, T, 3] pair, got {probs.shape}")
+    terms = _focal_terms(probs, triplets, cfg)
+    per_direction = ad.mean(ad.reshape(terms, (2, terms.size // 2)), axis=1)
+    return ad.scalar_mul(ad.mean(per_direction), 6.0)
 
 
 def total_loss(contrastive: Tensor, boundary: Tensor, frame: Tensor, cfg: LossConfig) -> Tensor:

@@ -13,10 +13,11 @@ with a frame classifier, then two heads on the fused per-frame features:
 
 The encoder, the fusion and the frame head run once per clip on a stacked
 pair: the forward stream and the time-reversed stream, as element 0 and 1
-of a leading batch axis ([2, T, .]), with shared weights. The boundary-map
-head reads only the forward element. Per-element gradients of the shared
-weights are added across the pair, so the outputs and gradients carry the
-bytes of one pass per direction.
+of a leading batch axis ([2, T, .]), with shared weights. The pair stays
+stacked in `ForwardOutput` for the losses and inference; only the
+boundary-map head reads one element, the forward one. Per-element
+gradients of the shared weights are added across the pair, so the outputs
+and gradients carry the bytes of one pass per direction.
 """
 
 from __future__ import annotations
@@ -168,31 +169,23 @@ def parameter_group(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-# Elements of the stacked pair's batch axis.
-FORWARD, BACKWARD = 0, 1
-
-
 @dataclass
 class EncodeOutput:
     """Fused per-frame features and intermediates, stacked [forward, backward]
-    along a leading batch axis; the backward element is in reversed time."""
+    along a leading batch axis; the backward element is in reversed time.
+    Channel C of `fused` is the frame classifier's fake probability."""
 
-    fused: Tensor        # [2, T, C+1]
-    f_av: Tensor         # [2, T, C] audio-queried cross-attention output
-    f_va: Tensor         # [2, T, C] visual-queried cross-attention output
-    frame_probs: Tensor  # [2, T, 1] frame-level fake probability
+    fused: Tensor  # [2, T, C+1]
+    f_av: Tensor   # [2, T, C] audio-queried cross-attention output
+    f_va: Tensor   # [2, T, C] visual-queried cross-attention output
 
 
 @dataclass
 class ForwardOutput:
-    frame_probs: Tensor        # [T, 1], forward direction
-    boundary_map: Tensor       # [L, T], forward direction
-    probs_fwd: Tensor          # [T, 3] start / end / content, forward direction
-    probs_bwd: Tensor          # [T, 3], backward direction (in reversed time)
-    f_av_fwd: Tensor = field(repr=False, default=None)
-    f_va_fwd: Tensor = field(repr=False, default=None)
-    f_av_bwd: Tensor = field(repr=False, default=None)
-    f_va_bwd: Tensor = field(repr=False, default=None)
+    boundary_map: Tensor                # [L, T], forward direction
+    probs: Tensor                       # [2, T, 3] start / end / content
+    f_av: Tensor = field(repr=False)    # [2, T, C], as in EncodeOutput
+    f_va: Tensor = field(repr=False)    # [2, T, C]
 
 
 def _cross_attention(query_feat: Tensor, kv_feat: Tensor, wq: Tensor, wk: Tensor,
@@ -253,10 +246,9 @@ class Model:
         f_va = _cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"], p["att_va.v"])
         fused = ad.add(ad.matmul(ad.concat([f_av, f_va], axis=-1), p["fusion.w"]), p["fusion.b"],
                        batched=True)
-        frame_probs = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"],
-                                        batched=True))
-        full = ad.concat([fused, frame_probs], axis=-1)
-        return EncodeOutput(fused=full, f_av=f_av, f_va=f_va, frame_probs=frame_probs)
+        fake_prob = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"],
+                                      batched=True))
+        return EncodeOutput(fused=ad.concat([fused, fake_prob], axis=-1), f_av=f_av, f_va=f_va)
 
     def boundary_map_head(self, fused: Tensor) -> Tensor:
         """Score every candidate segment: [T, C+1] fused features -> [L, T] map."""
@@ -289,17 +281,13 @@ class Model:
                                  batched=True))
 
     def forward_full(self, stream: FeatureStream) -> ForwardOutput:
+        """Both heads on one stacked pass: the boundary map of the forward
+        element and the [2, T, 3] frame probabilities of both directions."""
         enc = self.encode_and_fuse(stream)
         probs = self.frame_prob_head(enc.fused)
         return ForwardOutput(
-            frame_probs=ad.batch_element(enc.frame_probs, FORWARD),
-            boundary_map=self.boundary_map_head(ad.batch_element(enc.fused, FORWARD)),
-            probs_fwd=ad.batch_element(probs, FORWARD),
-            probs_bwd=ad.batch_element(probs, BACKWARD),
-            f_av_fwd=ad.batch_element(enc.f_av, FORWARD),
-            f_va_fwd=ad.batch_element(enc.f_va, FORWARD),
-            f_av_bwd=ad.batch_element(enc.f_av, BACKWARD),
-            f_va_bwd=ad.batch_element(enc.f_va, BACKWARD),
+            boundary_map=self.boundary_map_head(ad.batch_element(enc.fused, 0)),
+            probs=probs, f_av=enc.f_av, f_va=enc.f_va,
         )
 
 

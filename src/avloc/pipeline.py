@@ -1,7 +1,8 @@
 """Dataset-level orchestration shared by the CLI and the experiment scripts.
 
-The model's frame head emits a [T, 3] tensor per direction (columns start,
-end, content); fusion and scoring read its data array as is. Scoring and
+The model's frame head emits the stacked [2, T, 3] pair of both directions
+(columns start, end, content; element 1 in reversed time); fusion and
+scoring read its two elements of the data array as they are. Scoring and
 Soft-NMS work on [P, 3] (start, end, score) arrays; `predict_clip` returns
 the kept rows as ScoredProposal objects.
 """
@@ -45,9 +46,9 @@ def predict_clip(
     with no_grad():
         out = model.forward_full(stream)
     ticks.append(time.perf_counter())
-    probs = out.probs_fwd.data
+    probs = out.probs.data[0]
     if fusion == "both":
-        probs = fuse_bidirectional(probs, out.probs_bwd.data)
+        probs = fuse_bidirectional(probs, out.probs.data[1])
     ticks.append(time.perf_counter())
     scored = score_proposals(out.boundary_map.data, probs)
     ticks.append(time.perf_counter())

@@ -2,13 +2,14 @@
 
 Supervision targets are precomputed once per clip as plain float64 arrays
 in the heads' layouts: frame labels [T], boundary map and its in-range mask
-[L, T], and forward and backward triplets [T, 3] (columns start, end,
-content). Each optimization step accumulates gradients over a batch of
-clips, scales by the batch size, and applies one parameter update. A
-clip whose four loss values are not all finite stops training with a
-ValueError that names the epoch, step and clip. backward() releases each
-clip's graph as it takes the gradients, so one graph is live at a time. The
-learning rate halves whenever validation loss has not improved for
+[L, T], and the start / end / content triplets of both directions stacked
+as [2, T, 3] like the model's frame probabilities, element 1 in reversed
+time. The losses take the model's stacked pair as it is. Each
+optimization step accumulates gradients over a batch of clips, scales by
+the batch size, and applies one parameter update. A clip whose four loss
+values are not all finite stops training with a ValueError that names the
+epoch, step and clip. backward() releases each clip's graph as it takes
+the gradients, so one graph is live at a time. The learning rate halves whenever validation loss has not improved for
 `patience` consecutive epochs, and the best-validation parameters are
 restored at the end.
 """
@@ -58,8 +59,7 @@ class ClipTargets:
     frame_labels: np.ndarray  # [T]
     boundary: np.ndarray      # [L, T]
     mask: np.ndarray          # [L, T] bool
-    trip_fwd: np.ndarray      # [T, 3]
-    trip_bwd: np.ndarray      # [T, 3]
+    triplets: np.ndarray      # [2, T, 3] forward, backward (in reversed time)
 
 
 def build_targets(ann: StreamAnnotation, max_duration: int, d_f: float) -> ClipTargets:
@@ -67,8 +67,8 @@ def build_targets(ann: StreamAnnotation, max_duration: int, d_f: float) -> ClipT
         frame_labels=build_frame_labels(ann),
         boundary=build_boundary_map(ann, max_duration),
         mask=in_range_mask(max_duration, ann.num_frames),
-        trip_fwd=build_prob_triplet(ann, d_f, "forward"),
-        trip_bwd=build_prob_triplet(ann, d_f, "backward"),
+        triplets=np.stack([build_prob_triplet(ann, d_f, direction)
+                           for direction in ("forward", "backward")]),
     )
 
 
@@ -91,12 +91,9 @@ class LossBreakdown:
 def clip_losses(model: Model, clip: Clip, targets: ClipTargets, cfg: LossConfig) -> LossBreakdown:
     stream, _ = clip
     out = model.forward_full(stream)
-    l_fc = contrastive_loss(
-        out.f_av_fwd, out.f_va_fwd, out.f_av_bwd, out.f_va_bwd,
-        targets.frame_labels, cfg,
-    )
+    l_fc = contrastive_loss(out.f_av, out.f_va, targets.frame_labels, cfg)
     l_cp = boundary_map_loss(out.boundary_map, targets.boundary, targets.mask)
-    l_fp = frame_prob_loss(out.probs_fwd, out.probs_bwd, targets.trip_fwd, targets.trip_bwd, cfg)
+    l_fp = frame_prob_loss(out.probs, targets.triplets, cfg)
     return LossBreakdown(l_fc, l_cp, l_fp, total_loss(l_fc, l_cp, l_fp, cfg))
 
 

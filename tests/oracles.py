@@ -9,7 +9,9 @@ conv1d and conv2d; `reference_banded_matmul`, the padded sliding-window
 offset-kernel product; and `reference_max_pool1d`, the argmax pooling.
 These ops return their output and VJP closures as plain arrays and
 functions instead of a Tensor. `reference_forward_full` is the earlier
-two-pass model forward, one encoder and frame-head pass per direction.
+two-pass model forward, one encoder and frame-head pass per direction, its
+outputs stacked; `reference_clip_losses` adds the earlier per-direction
+contrastive and frame losses on top of it.
 JSON_VALUES and `corrupted_bytes` are the shared hypothesis strategies that
 fuzz the JSON and binary readers; `append_checkpoint_record` writes
 checkpoint records by hand.
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from avloc import autodiff as ad
 from avloc.autodiff import Tensor
 from avloc.data import FeatureStream, Segment, StreamAnnotation, interval_iou
+from avloc.losses import LossConfig, boundary_map_loss, focal_loss, total_loss
 from avloc.model import ForwardOutput, Model
 
 
@@ -369,22 +372,68 @@ def _reference_frame_prob_head(model: Model, fused):
     return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"]))
 
 
-def reference_forward_full(model: Model, stream: FeatureStream) -> ForwardOutput:
+def _reference_two_pass(model: Model, stream: FeatureStream):
     """The earlier `Model.forward_full`, copied verbatim but for the model
-    argument: the encoder and the frame head run once per direction on
-    unbatched [T, .] tensors; the boundary-map head is the model's own."""
+    argument and the return value: the encoder and the frame head run once
+    per direction on unbatched [T, .] tensors; the boundary-map head is the
+    model's own. Returns the boundary map and the [forward, backward] lists
+    of frame probabilities and of both cross-attention outputs."""
     fwd = _reference_encode_and_fuse(model, stream, "forward")
     bwd = _reference_encode_and_fuse(model, stream, "backward")
-    return ForwardOutput(
-        frame_probs=fwd[3],
-        boundary_map=model.boundary_map_head(fwd[0]),
-        probs_fwd=_reference_frame_prob_head(model, fwd[0]),
-        probs_bwd=_reference_frame_prob_head(model, bwd[0]),
-        f_av_fwd=fwd[1],
-        f_va_fwd=fwd[2],
-        f_av_bwd=bwd[1],
-        f_va_bwd=bwd[2],
-    )
+    boundary_map = model.boundary_map_head(fwd[0])
+    probs = [_reference_frame_prob_head(model, fwd[0]), _reference_frame_prob_head(model, bwd[0])]
+    return boundary_map, probs, [fwd[1], bwd[1]], [fwd[2], bwd[2]]
+
+
+def _stack(pair) -> Tensor:
+    return ad.concat([ad.reshape(t, (1,) + t.shape) for t in pair], axis=0)
+
+
+def reference_forward_full(model: Model, stream: FeatureStream) -> ForwardOutput:
+    """The earlier two-pass forward, its per-direction outputs stacked into
+    the [2, T, .] fields of `ForwardOutput`."""
+    boundary_map, probs, f_av, f_va = _reference_two_pass(model, stream)
+    return ForwardOutput(boundary_map=boundary_map, probs=_stack(probs),
+                         f_av=_stack(f_av), f_va=_stack(f_va))
+
+
+def _reference_row_norm(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row L2 distance between two [T, C] tensors."""
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"contrastive: embedding shapes differ, {a.shape} vs {b.shape}")
+    diff = a - b
+    return ad.sqrt(ad.scalar_mul(ad.mean(ad.mul(diff, diff), axis=1), a.shape[1]))
+
+
+def _reference_contrastive_loss(f_av_fwd, f_va_fwd, f_av_bwd, f_va_bwd, y, cfg) -> Tensor:
+    """The earlier `losses.contrastive_loss`, copied verbatim but for the
+    helper's name: one distance per direction on unbatched [T, C] tensors."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[0] != f_av_fwd.shape[0]:
+        raise ad.ShapeError(
+            f"contrastive: labels length {y.shape[0]} vs features {f_av_fwd.shape[0]}"
+        )
+    d = (_reference_row_norm(f_av_fwd, f_va_fwd)
+         + ad.flip(_reference_row_norm(f_av_bwd, f_va_bwd), axis=0))
+    y_t = Tensor(y)
+    pull = ad.mul(Tensor(1.0 - y), ad.mul(d, d))
+    hinge = ad.relu(cfg.margin - d)
+    push = ad.mul(y_t, ad.mul(hinge, hinge))
+    return ad.mean(pull + push)
+
+
+def reference_clip_losses(model: Model, clip, targets, cfg: LossConfig):
+    """The earlier `train.clip_losses` on the two-pass forward: the
+    contrastive term over four per-direction tensors and the frame term as
+    3 * (focal_fwd + focal_bwd). Returns (contrastive, boundary, frame, total)."""
+    boundary_map, probs, f_av, f_va = _reference_two_pass(model, clip[0])
+    contrastive = _reference_contrastive_loss(f_av[0], f_va[0], f_av[1], f_va[1],
+                                              targets.frame_labels, cfg)
+    boundary = boundary_map_loss(boundary_map, targets.boundary, targets.mask)
+    both = (focal_loss(probs[0], targets.triplets[0], cfg)
+            + focal_loss(probs[1], targets.triplets[1], cfg))
+    frame = ad.scalar_mul(both, 3.0)
+    return contrastive, boundary, frame, total_loss(contrastive, boundary, frame, cfg)
 
 
 def brute_force_pr_curve(

@@ -59,6 +59,19 @@ def test_section_value_error_names_the_section():
         run_config_from_dict({"loss": {"alpha": -1}})
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"model": {"channels": 0}}, "model.channels: must be positive"),
+    ({"synth": {"max_segments": 9, "max_len": 100}},
+     "synth: infeasible config, 9 segments of up to 100 frames cannot fit in 128 frames"),
+    ({"loss": {"alpha": -1}}, "loss.alpha: must be >= 0"),
+    ({"optim": {"epochs": 0}}, "optim.epochs: must be >= 1"),
+    ({"infer": {"sigma": 0}}, "infer.sigma: must be > 0"),
+], ids=["model", "synth", "loss", "optim", "infer"])
+def test_section_value_error_names_the_section_once(raw, message):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        run_config_from_dict(raw)
+
+
 def test_model_synth_dims_must_agree():
     with pytest.raises(ConfigError, match="num_frames"):
         run_config_from_dict({"model": {"num_frames": 64},

@@ -360,7 +360,7 @@ def test_predict_clip_records_no_graph_and_keeps_its_bytes(monkeypatch, fusion):
     monkeypatch.setattr(pipeline, "no_grad", contextlib.nullcontext)
     tracked = pipeline.predict_clip(model, clip, InferenceConfig(), fusion)
     untracked_out, tracked_out = outputs
-    for name in ("boundary_map", "probs_fwd", "probs_bwd"):
+    for name in ("boundary_map", "probs"):
         assert getattr(untracked_out, name)._parents == ()
         assert getattr(tracked_out, name)._parents
         assert getattr(untracked_out, name).data.tobytes() == getattr(tracked_out, name).data.tobytes()

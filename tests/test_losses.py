@@ -32,44 +32,42 @@ def test_config_validation():
 # -- contrastive ------------------------------------------------------------
 
 def _embeddings(t=4, c=3, seed=0):
+    # Two stacked [2, T, C] pairs, f_av and f_va, element 1 in reversed time.
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(size=(t, c))) for _ in range(4)]
+    return [Tensor(rng.normal(size=(2, t, c))) for _ in range(2)]
 
 
 def test_contrastive_zero_when_real_and_aligned():
-    f = Tensor(RNG.normal(size=(4, 3)))
+    f = Tensor(RNG.normal(size=(2, 4, 3)))
     y = np.zeros(4)
-    loss = contrastive_loss(f, f, f, f, y, CFG)
+    loss = contrastive_loss(f, f, y, CFG)
     assert loss.item() == 0.0
 
 
 def test_contrastive_zero_when_fake_and_separated():
-    a = Tensor(np.zeros((4, 3)))
-    b = Tensor(np.full((4, 3), 10.0))
+    a = Tensor(np.zeros((2, 4, 3)))
+    b = Tensor(np.full((2, 4, 3), 10.0))
     y = np.ones(4)
-    loss = contrastive_loss(a, b, a, b, y, CFG)
+    loss = contrastive_loss(a, b, y, CFG)
     assert loss.item() == 0.0
 
 
 def test_contrastive_single_fake_frame_hand_value():
-    f = Tensor(RNG.normal(size=(4, 3)))
+    f = Tensor(RNG.normal(size=(2, 4, 3)))
     y = np.array([0.0, 0.0, 0.0, 1.0])
     # Identical views give d = 0 everywhere: real frames contribute 0 and the
     # fake frame contributes max(0, 1 - 0)^2 = 1, averaged over T = 4.
-    loss = contrastive_loss(f, f, f, f, y, CFG)
+    loss = contrastive_loss(f, f, y, CFG)
     assert loss.item() == pytest.approx(0.25)
 
 
 def test_contrastive_pairs_backward_at_reversed_index():
     t, c = 4, 2
-    f_av_fwd = Tensor(np.zeros((t, c)))
-    f_va_fwd = Tensor(np.zeros((t, c)))
-    f_av_bwd = Tensor(np.zeros((t, c)))
-    bwd_other = np.zeros((t, c))
-    bwd_other[0, :] = [3.0, 4.0]  # backward index 0 = forward frame t-1
-    f_va_bwd = Tensor(bwd_other)
+    f_av = Tensor(np.zeros((2, t, c)))
+    f_va = np.zeros((2, t, c))
+    f_va[1, 0, :] = [3.0, 4.0]  # backward element, index 0 = forward frame t-1
     y = np.array([0.0, 0.0, 0.0, 1.0])
-    loss = contrastive_loss(f_av_fwd, f_va_fwd, f_av_bwd, f_va_bwd, y, CFG)
+    loss = contrastive_loss(f_av, Tensor(f_va), y, CFG)
     # d = 5 lands on the fake frame: hinge saturates, everything else is 0.
     assert loss.item() == 0.0
 
@@ -81,7 +79,7 @@ def test_contrastive_gradients_match_finite_differences():
         fixed = _embeddings(seed=100 + trial)
 
         def f(x, fixed=fixed):
-            return contrastive_loss(x, fixed[1], fixed[2], fixed[3], y, CFG)
+            return contrastive_loss(x, fixed[1], y, CFG)
 
         worst = max(worst, grad_check(f, _embeddings(seed=trial)[0], h=1e-5))
     assert worst <= 1e-4
@@ -93,18 +91,21 @@ def test_contrastive_gradient_finite_for_identical_embeddings():
     z = Tensor(np.array([0.0, 4.0]), requires_grad=True)
     ad.mean(ad.sqrt(z)).backward()
     np.testing.assert_array_equal(z.grad, [0.0, 0.125])
-    f = RNG.normal(size=(4, 3))
+    f = RNG.normal(size=(2, 4, 3))
     x = Tensor(f.copy(), requires_grad=True)
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    contrastive_loss(x, Tensor(f), Tensor(f), Tensor(f), y, CFG).backward()
+    contrastive_loss(x, Tensor(f), y, CFG).backward()
     np.testing.assert_array_equal(x.grad, np.zeros_like(f))
 
 
 def test_contrastive_shape_mismatch():
-    a = Tensor(np.zeros((4, 3)))
-    b = Tensor(np.zeros((4, 2)))
+    a = Tensor(np.zeros((2, 4, 3)))
     with pytest.raises(ad.ShapeError):
-        contrastive_loss(a, b, a, a, np.zeros(4), CFG)
+        contrastive_loss(a, Tensor(np.zeros((2, 4, 2))), np.zeros(4), CFG)
+    with pytest.raises(ad.ShapeError, match=r"\[2, T, C\]"):
+        contrastive_loss(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), np.zeros(4), CFG)
+    with pytest.raises(ad.ShapeError, match="labels length"):
+        contrastive_loss(a, a, np.zeros(5), CFG)
 
 
 # -- boundary map MSE -------------------------------------------------------
@@ -221,65 +222,88 @@ def test_focal_gradients_through_sigmoid():
 # -- frame-probability loss -------------------------------------------------
 
 def _triplet_tensors(rng, t=8):
-    # [T, 3] columns start, end, content, drawn row-wise as [3, T].
-    return ad.sigmoid(Tensor(rng.normal(size=(3, t)).T))
+    # [2, T, 3] columns start, end, content, drawn row-wise as [2, 3, T].
+    return ad.sigmoid(Tensor(np.swapaxes(rng.normal(size=(2, 3, t)), 1, 2)))
 
 
 def _triplet_labels(rng, t=8):
-    # [T, 3] columns start, end, content, drawn column by column.
-    return rng.uniform(0, 1, (3, t)).T
+    # [2, T, 3] columns start, end, content, drawn column by column per direction.
+    return np.stack([rng.uniform(0, 1, (3, t)).T for _ in range(2)])
 
 
 def test_frame_prob_loss_is_sum_of_six_focal_terms():
     rng = np.random.default_rng(4)
-    pf, pb = _triplet_tensors(rng), _triplet_tensors(rng)
-    tf, tb = _triplet_labels(rng), _triplet_labels(rng)
-    loss = frame_prob_loss(pf, pb, tf, tb, CFG)
+    probs, triplets = _triplet_tensors(rng), _triplet_labels(rng)
+    loss = frame_prob_loss(probs, triplets, CFG)
     manual = sum(
-        focal_loss(Tensor(pred.data[:, k]), true[:, k], CFG).item()
-        for pred, true in ((pf, tf), (pb, tb))
+        focal_loss(Tensor(probs.data[d, :, k]), triplets[d, :, k], CFG).item()
+        for d in range(2)
         for k in range(3)
     )
     assert loss.item() == pytest.approx(manual, rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [7, 64, 100])
-def test_frame_prob_loss_gradient_equals_six_column_terms(t):
-    # The gradient through one focal term per [T, 3] direction is bit-identical
-    # to the per-column reference: 3 / (3T) rounds exactly like 1 / T.
-    rng = np.random.default_rng(t)
-    preds = [rng.uniform(0.01, 0.99, (t, 3)) for _ in range(2)]
-    trues = [_triplet_labels(rng, t), _triplet_labels(rng, t)]
-    leaves = [Tensor(p.copy(), requires_grad=True) for p in preds]
-    frame_prob_loss(*leaves, *trues, CFG).backward()
+def test_frame_prob_loss_bytes_match_per_direction_focal_sum(t):
+    # The mean is taken per direction before the two are combined, so the
+    # value keeps the bytes of 3 * (focal_fwd + focal_bwd) on [T, 3] halves.
+    for seed in range(10):
+        rng = np.random.default_rng(1000 * t + seed)
+        probs = Tensor(rng.uniform(0.01, 0.99, (2, t, 3)))
+        triplets = _triplet_labels(rng, t)
+        halves = [focal_loss(Tensor(probs.data[d]), triplets[d], CFG) for d in range(2)]
+        want = ad.scalar_mul(halves[0] + halves[1], 3.0)
+        assert frame_prob_loss(probs, triplets, CFG).data.tobytes() == want.data.tobytes()
 
-    columns = [[Tensor(p[:, k].copy(), requires_grad=True) for k in range(3)] for p in preds]
+
+@pytest.mark.parametrize("t", [7, 64, 100])
+def test_frame_prob_loss_gradient_equals_six_column_terms(t):
+    # The gradient through one focal pass over the [2, T, 3] pair is
+    # bit-identical to the per-column reference: 6 / 2 / (3T) rounds exactly
+    # like 1 / T.
+    rng = np.random.default_rng(t)
+    pred = rng.uniform(0.01, 0.99, (2, t, 3))
+    triplets = _triplet_labels(rng, t)
+    leaf = Tensor(pred.copy(), requires_grad=True)
+    frame_prob_loss(leaf, triplets, CFG).backward()
+
+    columns = [[Tensor(pred[d, :, k].copy(), requires_grad=True) for k in range(3)]
+               for d in range(2)]
     reference = None
-    for cols, true in zip(columns, trues):
+    for cols, true in zip(columns, triplets):
         for k, col in enumerate(cols):
             term = focal_loss(col, true[:, k], CFG)
             reference = term if reference is None else reference + term
     reference.backward()
-    for leaf, cols in zip(leaves, columns):
-        assert np.array_equal(leaf.grad, np.column_stack([c.grad for c in cols]))
+    for grad, cols in zip(leaf.grad, columns):
+        assert np.array_equal(grad, np.column_stack([c.grad for c in cols]))
 
 
 def test_frame_prob_loss_near_zero_for_easy_negatives():
     t = 8
-    zeros = np.zeros((t, 3))
-    tiny = Tensor(np.full((t, 3), 1e-9))
-    assert frame_prob_loss(tiny, tiny, zeros, zeros, CFG).item() < 1e-12
+    zeros = np.zeros((2, t, 3))
+    tiny = Tensor(np.full((2, t, 3), 1e-9))
+    assert frame_prob_loss(tiny, zeros, CFG).item() < 1e-12
+
+
+def test_frame_prob_loss_shape_mismatch():
+    rng = np.random.default_rng(7)
+    probs = _triplet_tensors(rng)
+    with pytest.raises(ad.ShapeError, match=r"\[2, T, 3\]"):
+        frame_prob_loss(ad.batch_element(probs, 0), _triplet_labels(rng)[0], CFG)
+    with pytest.raises(ad.ShapeError, match="focal: shapes differ"):
+        frame_prob_loss(probs, _triplet_labels(rng, t=9), CFG)
 
 
 def test_frame_prob_loss_gradients():
     rng = np.random.default_rng(5)
-    tf, tb = _triplet_labels(rng), _triplet_labels(rng)
+    triplets = _triplet_labels(rng)
     fixed = rng.normal(size=(5, 8))
 
     def f(x):
-        pf = ad.sigmoid(ad.transpose(x))
-        pb = ad.sigmoid(Tensor(fixed[:3].T))
-        return frame_prob_loss(pf, pb, tf, tb, CFG)
+        pf = ad.reshape(ad.sigmoid(ad.transpose(x)), (1, 8, 3))
+        pb = ad.reshape(ad.sigmoid(Tensor(fixed[:3].T)), (1, 8, 3))
+        return frame_prob_loss(ad.concat([pf, pb], axis=0), triplets, CFG)
 
     assert grad_check(f, Tensor(rng.normal(size=(3, 8))), h=1e-5) <= 1e-4
 

@@ -29,6 +29,7 @@ from oracles import (
     append_checkpoint_record,
     brute_force_sampling_mask,
     corrupted_bytes,
+    reference_clip_losses,
     reference_forward_full,
 )
 
@@ -121,7 +122,8 @@ def test_zeroed_classifier_outputs_half():
     model = Model(TINY, seed=0)
     model.params["frame_cls.w"].data[:] = 0.0
     out = model.encode_and_fuse(tiny_stream())
-    np.testing.assert_allclose(out.frame_probs.data, 0.5)
+    # The frame classifier's probability is the last fused channel.
+    np.testing.assert_allclose(out.fused.data[..., TINY.channels], 0.5)
 
 
 def test_fused_channel_count():
@@ -238,14 +240,17 @@ def test_forward_full_deterministic():
     a = model.forward_full(stream)
     b = model.forward_full(stream)
     assert np.array_equal(a.boundary_map.data, b.boundary_map.data)
-    assert np.array_equal(a.probs_bwd.data, b.probs_bwd.data)
+    assert np.array_equal(a.probs.data, b.probs.data)
 
 
 def test_forward_full_outputs_in_unit_interval():
     model = Model(TINY, seed=0)
-    out = model.forward_full(tiny_stream(seed=5))
-    for t in (out.frame_probs, out.boundary_map, out.probs_fwd, out.probs_bwd):
-        assert np.all(t.data > 0.0) and np.all(t.data < 1.0)
+    stream = tiny_stream(seed=5)
+    out = model.forward_full(stream)
+    frame_probs = model.encode_and_fuse(stream).fused.data[..., TINY.channels]
+    assert out.probs.shape == (2, TINY.num_frames, 3)
+    for data in (frame_probs, out.boundary_map.data, out.probs.data):
+        assert np.all(data > 0.0) and np.all(data < 1.0)
 
 
 def test_palindromic_input_gives_identical_directions():
@@ -257,7 +262,7 @@ def test_palindromic_input_gives_identical_directions():
     out = model.forward_full(FeatureStream(audio=audio, visual=visual))
     # Reversing a palindromic stream is a no-op, so the raw backward pass
     # must equal the raw forward pass bit for bit.
-    np.testing.assert_array_equal(out.probs_bwd.data, out.probs_fwd.data)
+    np.testing.assert_array_equal(out.probs.data[1], out.probs.data[0])
 
 
 def _clip_for(cfg, seed=0):
@@ -269,26 +274,34 @@ def _clip_for(cfg, seed=0):
 
 @pytest.mark.parametrize("cfg", [TINY, SMALL, ModelConfig()], ids=["tiny", "small", "default"])
 def test_stacked_forward_bytes_match_two_pass_reference(cfg, monkeypatch):
-    # One stacked pass per clip against one pass per direction: every
-    # ForwardOutput field, every parameter's gradient after a clip's total
-    # loss, and the predictions of both fusion modes, byte for byte.
+    # One stacked pass per clip and one op chain per loss term against one
+    # pass and one loss chain per direction: every ForwardOutput field, the
+    # four loss values, every parameter's gradient after a clip's total loss,
+    # and the predictions of both fusion modes, byte for byte.
     clip = _clip_for(cfg, seed=cfg.num_frames)
     targets = build_targets(clip[1], cfg.max_duration, 1.0)
     runs = []
     for stacked in (True, False):
         model = Model(cfg, seed=2)
-        if not stacked:
+        if stacked:
+            losses = clip_losses(model, clip, targets, LossConfig())
+            losses = (losses.contrastive, losses.boundary, losses.frame, losses.total)
+        else:
             monkeypatch.setattr(model, "forward_full", lambda s, m=model: reference_forward_full(m, s))
+            losses = reference_clip_losses(model, clip, targets, LossConfig())
         out = model.forward_full(clip[0])
         outputs = {f.name: getattr(out, f.name).data.tobytes() for f in fields(ForwardOutput)}
-        clip_losses(model, clip, targets, LossConfig()).total.backward()
+        values = [loss.data.tobytes() for loss in losses]
+        losses[-1].backward()
         grads = {name: p.grad.tobytes() for name, p in model.params.items()}
         preds = {fusion: predict_clip(model, clip, InferenceConfig(), fusion)
                  for fusion in ("both", "forward")}
-        runs.append((outputs, grads, preds))
-    (outputs, grads, preds), (want_outputs, want_grads, want_preds) = runs
+        runs.append((outputs, values, grads, preds))
+    (outputs, values, grads, preds), (want_outputs, want_values, want_grads, want_preds) = runs
     for name in want_outputs:
         assert outputs[name] == want_outputs[name], name
+    for name, got, want in zip(("contrastive", "boundary", "frame", "total"), values, want_values):
+        assert got == want, name
     for name in want_grads:
         assert grads[name] == want_grads[name], name
     assert preds == want_preds
@@ -307,21 +320,16 @@ def _recorded_ops(loss):
 
 
 def test_small_clip_step_op_count():
-    # One stacked pass for both directions: 128 recorded ops per clip on the
-    # criterion-8 small config, down from 171 with one pass per direction.
+    # One stacked pair from the encoder to the losses: 106 recorded ops per
+    # clip on the criterion-8 small config.
     clip = _clip_for(SMALL)
     losses = clip_losses(Model(SMALL, seed=0), clip, build_targets(clip[1], SMALL.max_duration, 1.0),
                          LossConfig())
-    assert _recorded_ops(losses.total) == 128
+    assert _recorded_ops(losses.total) == 106
 
 
-def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
-    # Every op call of a training clip-step records a graph node: 129 calls on
-    # the small config. The boundary-map loss negates its constant target in
-    # numpy instead of through an untracked scalar_mul op call.
-    clip = _clip_for(SMALL)
-    model = Model(SMALL, seed=0)
-    targets = build_targets(clip[1], SMALL.max_duration, 1.0)
+def _op_calls(monkeypatch):
+    """Spy on `autodiff._op`: the returned list gets one requires_grad flag per call."""
     tracked = []
     real_op = ad._op
 
@@ -331,9 +339,31 @@ def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "_op", spy)
+    return tracked
+
+
+def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
+    # Every op call of a training clip-step records a graph node: 106 calls on
+    # the small config. The boundary-map loss negates its constant target in
+    # numpy instead of through an untracked scalar_mul op call.
+    clip = _clip_for(SMALL)
+    model = Model(SMALL, seed=0)
+    targets = build_targets(clip[1], SMALL.max_duration, 1.0)
+    tracked = _op_calls(monkeypatch)
     clip_losses(model, clip, targets, LossConfig())
-    assert len(tracked) == 129
+    assert len(tracked) == 106
     assert all(tracked)
+
+
+def test_small_inference_clip_op_calls_are_untracked(monkeypatch):
+    # predict_clip's forward records no graph: 63 op calls on the small
+    # config, none tracked.
+    clip = _clip_for(SMALL)
+    model = Model(SMALL, seed=0)
+    tracked = _op_calls(monkeypatch)
+    predict_clip(model, clip, InferenceConfig())
+    assert len(tracked) == 63
+    assert not any(tracked)
 
 
 def test_wrong_frame_count_rejected():
