@@ -13,6 +13,16 @@ backward()" before any gradient changes; recompute the forward. Inside a
 `with no_grad():` block ops record no graph: their outputs are untracked
 tensors with no parents, for passes that never call backward().
 
+Freed memory. Released at once, a graph lies free at the top of the heap;
+glibc would hand that top back to the kernel, and serve each large array
+from its own mapping, so every forward pass would fault its pages in
+anew. keep_freed_memory(), called once by train() and predict_clip(),
+raises glibc's mmap threshold to 32 MiB and its trim threshold to
+256 MiB, so the freed graph stays in the heap for the next one. Both are
+needed: the trim threshold alone freezes the mmap threshold at 128 KiB.
+The setting is process-wide, persists after train() returns, changes no
+value, and does nothing off glibc.
+
 Ops: add, mul, scalar_mul, matmul, transpose, reshape, flip, concat,
 sigmoid, relu, log, sqrt, pow_const, softmax, mean, conv1d, conv2d,
 max_pool1d, upsample1d, banded_matmul and batch_element. conv1d and conv2d
@@ -36,7 +46,10 @@ gradients backward() adds up.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
+import os
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -185,6 +198,42 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = previous
+
+
+# glibc's mallopt parameter numbers (malloc.h) and the values set for them.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 256 * 2**20
+_MMAP_THRESHOLD_BYTES = 32 * 2**20
+
+
+@functools.cache
+def keep_freed_memory() -> None:
+    """Keep the memory a released graph frees in the heap, for the next graph.
+
+    backward() frees a clip's whole graph at once, and by default glibc
+    returns the freed top of the heap to the kernel and serves each array
+    over its 128 KiB-and-rising mmap threshold from a fresh mapping; the next
+    forward pass then faults every page back in. This sets, through glibc's
+    mallopt, the mmap threshold to 32 MiB, so the graph's arrays come from
+    the heap, and the trim threshold to 256 MiB, so the heap keeps its free
+    top. Both are needed: setting the trim threshold alone also freezes the
+    mmap threshold at 128 KiB, and the mmap threshold alone leaves the heap
+    trimmed. The setting is process-wide and stays after the caller returns;
+    it changes where arrays live, never their values. It runs once per
+    process, and does nothing off glibc.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _op(data: Array, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:

@@ -68,7 +68,7 @@ def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out)
     splits = (
-        ("train", dataclasses.replace(cfg.synth, count=cfg.synth.count), 0),
+        ("train", cfg.synth, 0),
         ("val", dataclasses.replace(cfg.synth, count=cfg.val_clips), 1),
         ("test", dataclasses.replace(cfg.synth, count=cfg.test_clips), 2),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from .autodiff import no_grad
+from .autodiff import keep_freed_memory, no_grad
 from .data import Clip, Segment, StreamAnnotation
 from .inference import (
     InferenceConfig,
@@ -41,6 +41,7 @@ def predict_clip(
     """
     if fusion not in ("both", "forward"):
         raise ValueError(f"unknown fusion mode {fusion!r}")
+    keep_freed_memory()
     stream, _ = clip
     ticks = [time.perf_counter()]
     with no_grad():

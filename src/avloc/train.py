@@ -30,7 +30,7 @@ from .losses import (
     total_loss,
 )
 from .model import Model
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, keep_freed_memory, no_grad
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,7 @@ def train(
     d_f: float = 1.0,
     seed: int = 0,
 ) -> TrainResult:
+    keep_freed_memory()
     max_duration = model.cfg.max_duration
     train_targets = [build_targets(ann, max_duration, d_f) for _, ann in train_clips]
     val_targets = [build_targets(ann, max_duration, d_f) for _, ann in val_clips]
