@@ -8,12 +8,20 @@ Usage: python scripts/run_direction_ablation.py WORKDIR [--config CONFIG.json]
 (WORKDIR must already contain data/test and model.ckpt from run_pipeline.py.)
 """
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import os
 
-from avloc.cli import main as cli
+# One BLAS thread per process, unless the caller says otherwise, so that
+# several runs side by side do not oversubscribe the cores. Must be set
+# before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from avloc.cli import main as cli  # noqa: E402
 
 
 def run(argv):

@@ -169,11 +169,11 @@ class SynthConfig:
                 f"{self.max_len} frames cannot fit in {self.num_frames} frames"
             )
         mix = self.p_audio + self.p_visual + self.p_both
-        if min(self.p_audio, self.p_visual, self.p_both) < 0 or abs(mix - 1.0) > 1e-9:
+        if not (min(self.p_audio, self.p_visual, self.p_both) >= 0 and abs(mix - 1.0) <= 1e-9):
             raise ValueError("synth.p_audio/p_visual/p_both: must be >= 0 and sum to 1")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("synth.delta: must be >= 0")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ValueError("synth.noise: must be >= 0")
 
 

@@ -14,11 +14,13 @@ involvement.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, Segment, finite_float, interval_iou, segment_from_json
+from .data import DatasetFormatError, Segment, finite_float, segment_from_json
 from .labels import in_range_mask
 
 
@@ -36,13 +38,13 @@ class InferenceConfig:
     d_f: float = 1.0          # boundary-region duration for training labels
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("infer.sigma: must be > 0")
-        if self.score_floor < 0:
+        if not self.score_floor >= 0:
             raise ValueError("infer.score_floor: must be >= 0")
         if self.top_k < 1:
             raise ValueError("infer.top_k: must be >= 1")
-        if self.d_f <= 0:
+        if not self.d_f > 0:
             raise ValueError("infer.d_f: must be > 0")
 
 
@@ -92,41 +94,69 @@ def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
     whose decayed score falls below cfg.score_floor are dropped; selection
     stops after cfg.top_k picks. Score ties resolve to the earliest row.
     Returns the picked rows with their scores at pick time, highest score
-    first (a stable sort, so equal scores keep their pick order).
+    first (a stable sort, so equal scores keep their pick order). Raises
+    ValueError naming the first row whose frames are not finite with
+    start < end.
 
     Rows below the floor (and NaN rows) are dropped up front and the rest
-    sorted by start. Frames are integers with start < end, so a row can
-    overlap the pick [s, e) only if its start lies in [s - longest, e),
-    where `longest` is the longest row: a contiguous slice of the sorted
-    rows. Each pick rescores only that slice, in place; every other row
-    would be multiplied by exp(-0 / sigma) = 1.0, so skipping it changes no
-    bit. A row that decays below the floor keeps decaying and stays below
-    it, so it is never the argmax while a row at or above the floor
-    remains; only picked rows hold -inf.
+    sorted by start. A row overlaps the pick [s, e) only if its start is
+    below e and its end above s. `reach`, the running maximum of the ends
+    in start order, is sorted like the starts, so the rows that can overlap
+    are one slice, from the first reach above s to the first start at or
+    past e: two bisections. Each pick rescores only that slice, in place,
+    with the arithmetic of `data.interval_iou` and exp(-(iou ** 2) / sigma)
+    as in-place ufuncs (x / -sigma equals -x / sigma bit for bit); every
+    other row would be multiplied by exp(-0 / sigma) = 1.0, so skipping it
+    changes no bit. A row that decays below the floor keeps decaying and
+    stays below it, so it is never the argmax while a row at or above the
+    floor remains; only picked rows hold -inf. A tie for the top score
+    shows as a last maximum (the argmax of the reversed scores) other than
+    the first, and only then are the tied rows looked up.
     """
-    live = np.flatnonzero(proposals[:, 2] >= cfg.score_floor)  # NaN fails too
-    rows = live[np.argsort(proposals[live, 0], kind="stable")]  # caller row of each sorted row
-    starts, ends, scores = proposals[rows].T.copy()
-    longest = (ends - starts).max(initial=0.0)
+    starts, ends, scores = proposals.T
+    bad = ~((starts < ends) & np.isfinite(starts) & np.isfinite(ends))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"soft_nms: row {k} needs finite frames with start < end, "
+                         f"got {proposals[k].tolist()}")
+    live = np.flatnonzero(scores >= cfg.score_floor)  # NaN fails too
+    rows = live[np.argsort(starts[live], kind="stable")]  # caller row of each sorted row
+    starts, ends, scores = proposals.take(rows, axis=0).T.copy()
+    lengths = ends - starts
+    start_list = starts.tolist()
+    reach = np.maximum.accumulate(ends).tolist()
+    last = len(rows) - 1
+    # IoU <= 1, so every factor is at least exp(-1 / sigma). Only where that
+    # can underflow to 0.0 (sigma below about 0.003) are the picked rows
+    # skipped, as -inf * 0.0 is NaN.
+    can_underflow = not math.exp(-2.0 / cfg.sigma) > 0.0
     picked: list[int] = []
     picked_scores: list[float] = []
-    while len(picked) < cfg.top_k and scores.size:
-        best = int(np.argmax(scores))  # first in start order
+    while len(picked) < cfg.top_k and rows.size:
+        best = int(scores.argmax())  # first in start order
         top = scores[best]
         if not top >= cfg.score_floor:
             break
-        ties = np.flatnonzero(scores == top)
-        if ties.size > 1:  # ties go to the earliest caller row
-            best = int(ties[np.argmin(rows[ties])])
+        if last - int(scores[::-1].argmax()) != best:  # ties go to the earliest caller row
+            ties = np.flatnonzero(scores == top)
+            best = int(ties[rows[ties].argmin()])
+            top = scores[best]  # a tied 0.0 and -0.0 differ in bytes
         picked.append(best)
-        picked_scores.append(scores[best])  # not `top`: a tied 0.0 and -0.0 differ in bytes
+        picked_scores.append(top)
         scores[best] = -np.inf
-        s, e = starts[best], ends[best]
-        lo, hi = np.searchsorted(starts, (s - longest, e))
+        s, e = start_list[best], ends.item(best)
+        lo, hi = bisect_right(reach, s), bisect_left(start_list, e)
         window = scores[lo:hi]
-        iou = interval_iou(starts[lo:hi], ends[lo:hi], s, e)
-        # picked rows are skipped: -inf * 0.0 (exp underflow at small sigma) is NaN
-        np.multiply(window, np.exp(-(iou ** 2) / cfg.sigma), out=window, where=window > -np.inf)
+        iou = np.minimum(ends[lo:hi], e)
+        iou -= np.maximum(starts[lo:hi], s)
+        np.maximum(iou, 0, out=iou)
+        union = lengths[lo:hi] + (e - s)
+        union -= iou
+        iou /= union
+        np.square(iou, out=iou)
+        iou /= -cfg.sigma
+        np.exp(iou, out=iou)
+        np.multiply(window, iou, out=window, where=window > -np.inf if can_underflow else True)
     kept = np.column_stack([starts[picked], ends[picked], picked_scores])
     return kept[np.argsort(-kept[:, 2], kind="stable")]
 

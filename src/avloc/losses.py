@@ -36,13 +36,13 @@ class LossConfig:
     label_threshold: float = 0.5  # binarization threshold for soft labels
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("loss.alpha: must be >= 0")
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ValueError("loss.margin: must be > 0")
         if not (0 < self.beta0 < 1):
             raise ValueError("loss.beta0: must be in (0, 1)")
-        if self.beta1 < 0:
+        if not self.beta1 >= 0:
             raise ValueError("loss.beta1: must be >= 0")
         if not (0 < self.label_threshold < 1):
             raise ValueError("loss.label_threshold: must be in (0, 1)")

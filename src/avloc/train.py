@@ -42,7 +42,7 @@ class OptimConfig:
     optimizer: str = "adam"  # "sgd" or "adam"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("optim.learning_rate: must be > 0")
         if self.epochs < 1:
             raise ValueError("optim.epochs: must be >= 1")

@@ -12,6 +12,10 @@ from avloc.config import (
     run_config_from_dict,
     run_config_to_dict,
 )
+from avloc.data import SynthConfig
+from avloc.inference import InferenceConfig
+from avloc.losses import LossConfig
+from avloc.train import OptimConfig
 from oracles import JSON_VALUES, corrupted_bytes
 
 
@@ -70,6 +74,23 @@ def test_section_value_error_names_the_section():
 def test_section_value_error_names_the_section_once(raw, message):
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         run_config_from_dict(raw)
+
+
+@pytest.mark.parametrize("cls, field, prefix", [
+    (InferenceConfig, "sigma", "infer"),
+    (InferenceConfig, "score_floor", "infer"),
+    (InferenceConfig, "d_f", "infer"),
+    (LossConfig, "alpha", "loss"),
+    (LossConfig, "margin", "loss"),
+    (LossConfig, "beta1", "loss"),
+    (OptimConfig, "learning_rate", "optim"),
+    (SynthConfig, "delta", "synth"),
+    (SynthConfig, "noise", "synth"),
+    (SynthConfig, "p_both", "synth"),
+])
+def test_float_range_checks_reject_nan(cls, field, prefix):
+    with pytest.raises(ValueError, match=rf"^{prefix}\.\S*{field}\S*: "):
+        cls(**{field: float("nan")})
 
 
 def test_model_synth_dims_must_agree():

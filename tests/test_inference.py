@@ -340,6 +340,54 @@ def test_soft_nms_score_edge_cases_match_all_rows_reference(scores, sigma, floor
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("bad, k", [
+    ((np.nan, 5, 0.9), 0),
+    ((2, np.nan, 0.7), 2),
+    ((4, 4, 0.8), 1),
+    ((6, 2, 0.8), 3),
+    ((-np.inf, 5, 0.9), 0),
+    ((1, np.inf, 1e-9), 3),
+], ids=["nan-start", "nan-end", "start-equals-end", "start-after-end", "inf-start", "inf-end"])
+def test_soft_nms_names_the_first_row_with_bad_frames(bad, k):
+    good = [(1, 4, 0.8), (2, 6, 0.7), (0, 3, 0.6)]
+    proposals = rows(*good[:k], bad, *good[k:], (7, 7, 0.5))  # a later bad row too
+    with pytest.raises(ValueError, match=rf"^soft_nms: row {k} needs finite frames with start < end"):
+        soft_nms(proposals, InferenceConfig())
+
+
+@st.composite
+def float_row_sets(draw):
+    """(start, end, score) rows with fractional, shared and integer frames,
+    duplicated and tied rows, and negative, 0.0 and -0.0 scores, unsorted."""
+    frame = st.integers(-5, 40) | st.floats(-5, 40) | st.sampled_from([0.5, 2.25, 3.0])
+    length = st.integers(1, 12) | st.floats(0.125, 20) | st.sampled_from([1e-3, 0.5])
+    score = (st.floats(-1, 1) | st.sampled_from([0.0, -0.0, 0.5, 1e-4, 0.1, -0.25])
+             | st.floats(0, 1e-3))
+    n = draw(st.integers(0, 30))
+    out = [(s, s + d, x) for s, d, x in zip(draw(st.lists(frame, min_size=n, max_size=n)),
+                                              draw(st.lists(length, min_size=n, max_size=n)),
+                                              draw(st.lists(score, min_size=n, max_size=n)))]
+    if out:  # exact copies, and rows whose score is forced to tie with another's
+        picks = st.lists(st.sampled_from(range(len(out))), max_size=6)
+        out += [out[i] for i in draw(picks)]
+        out += [(*out[i][:2], out[j][2]) for i, j in zip(draw(picks), draw(picks))]
+    return rows(*draw(st.permutations(out)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(proposals=float_row_sets(),
+       sigma=st.sampled_from([0.001, 0.002, 0.003, 0.1, 1.0]) | st.floats(0.001, 4),
+       floor=st.sampled_from([0.0, 1e-4, 0.1]) | st.floats(0, 0.5),
+       top_k=st.integers(1, 60))
+def test_soft_nms_bytes_match_all_rows_reference_on_float_rows(proposals, sigma, floor, top_k):
+    cfg = InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k)
+    before = proposals.tobytes()
+    got, want = soft_nms(proposals, cfg), reference_soft_nms(proposals, cfg)
+    assert proposals.tobytes() == before
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_inference_config_validation():
     with pytest.raises(ValueError, match="sigma"):
         InferenceConfig(sigma=0.0)
