@@ -29,6 +29,16 @@ max_pool1d, upsample1d, banded_matmul and batch_element. conv1d and conv2d
 share one same-padded correlation (_correlate); sums are written as mean
 times count.
 
+Row blocks. _correlate's forward walks its output rows in blocks whose
+input rows, matmul scratch and output rows fit _BLOCK_BYTES (384 KiB), and
+runs every kernel offset over one block before the next, so the block
+stays in cache. Each output row still adds the same GEMM rows in the same
+order, and blocks are aligned to 16 rows (_BLOCK_ALIGN) so that BLAS gives
+each row the bytes one full-height call gives it: the outputs do not
+depend on the budget. The budget is a measured constant, not an option; a
+shape within it (every conv1d here, the small config's map conv) is one
+block.
+
 Batch axis. conv1d, matmul, transpose, max_pool1d and upsample1d take an
 optional leading batch axis, fixed by rank: [B, T, C] where the unbatched
 form is [T, C] (for matmul, a [B, M, K] left operand against a shared
@@ -416,16 +426,55 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _op(data, [(a, lambda g: np.repeat(np.expand_dims(g / n, axis), n, axis=axis))])
 
 
+# Byte budget of one row block of _correlate's forward: the block's input
+# rows, matmul scratch and output rows, (C_in + 2 C_out) * 8 bytes a row.
+# 384 KiB is 496 rows of the default [40, 128, 33] x [3, 3, 33, 32] map conv,
+# whose full-height pass streams 1.3 MiB of scratch and output per offset.
+# On a 2-vCPU Xeon (48 KiB L1d, 2 MiB L2 per core), one BLAS thread, that
+# forward took 2.1-2.3 ms against 3.4-3.7 ms for one block; 256 KiB and
+# 512 KiB measured within noise of it, 1 MiB no better than one block.
+_BLOCK_BYTES = 384 * 1024
+# Blocks start at multiples of this many rows and hold at least as many. A
+# GEMM's result rows are independent of each other only in that frame:
+# numpy hands a 1-row product to gemv, which sums in another order, and
+# OpenBLAS computes the rows after a call's last full tile with tail
+# kernels that, for a narrow C_out, sum in another order too (seen for
+# C_out of 1 to 3 when a call's row count is not a multiple of 4).
+_BLOCK_ALIGN = 16
+
+
+def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
+    """[lo, hi) blocks covering m rows of row_bytes each, within _BLOCK_BYTES.
+
+    Every block starts at a multiple of _BLOCK_ALIGN and is a multiple of it
+    long, at least one, except the last, which also takes a remainder
+    shorter than _BLOCK_ALIGN. So every row falls at the same place in a
+    full tile, or in the tail, as it does in one m-row call; m rows within
+    the budget are that one call.
+    """
+    step = max(_BLOCK_ALIGN, _BLOCK_BYTES // row_bytes // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    bounds = list(range(0, m, step)) + [m]
+    if len(bounds) > 2 and m - bounds[-2] < _BLOCK_ALIGN:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _correlate(name: str, x: Tensor, w: Tensor, batched: bool = False) -> Tensor:
     """Same-padded correlation over the leading axes: [*S, C_in] x [*K, C_in, C_out] -> [*S, C_out].
 
     Every kernel extent must be odd. The zero-padded input is read as flat
     rows, and output cell i is laid at row i . strides of the padded grid, so
     the patch of kernel offset o is the m contiguous rows from o . strides.
-    One matmul per kernel offset, in np.ndindex order; the output is the
-    view of those rows without the pad columns (for conv1d, all of them).
-    With `batched`, axis 0 of x is a batch axis: the kernel gets an extent
-    of 1 there, and the weight gradient is reduced per element.
+    The output rows are walked in blocks of at most _BLOCK_BYTES of input,
+    scratch and output rows (_row_blocks), so a block stays in cache across
+    the kernel offsets: within a block, one matmul per kernel offset in
+    np.ndindex order into the block's scratch, added to the block's rows.
+    Every output cell so sums the same GEMM rows in the same order as with
+    one full-height matmul per offset, and gets the same bytes; a shape
+    within the budget is one block, with exactly those calls. The output is
+    the view of those rows without the pad columns (for conv1d, all of
+    them). With `batched`, axis 0 of x is a batch axis: the kernel gets an
+    extent of 1 there, and the weight gradient is reduced per element.
     """
     kernel = w.data[None] if batched else w.data
     *ks, cin, cout = kernel.shape
@@ -441,13 +490,16 @@ def _correlate(name: str, x: Tensor, w: Tensor, batched: bool = False) -> Tensor
     xp[inner] = x.data
     rows = xp.reshape(-1, cin)
     windows = {o: tuple(slice(a, a + n) for a, n in zip(o, s)) for o in np.ndindex(*ks)}
+    shifts = {o: sum(a * stride for a, stride in zip(o, strides)) for o in windows}
     acc = np.zeros(s[:1] + padded[1:] + (cout,))
     acc_rows = acc.reshape(-1, cout)[:m]
-    tmp = np.empty_like(acc_rows)
-    for o in windows:
-        shift = sum(a * stride for a, stride in zip(o, strides))
-        np.matmul(rows[shift:shift + m], kernel[o], out=tmp)
-        acc_rows += tmp
+    blocks = _row_blocks(m, 8 * (cin + 2 * cout))
+    scratch = np.empty((max(hi - lo for lo, hi in blocks), cout))
+    for lo, hi in blocks:
+        tmp = scratch[:hi - lo]
+        for o, shift in shifts.items():
+            np.matmul(rows[shift + lo:shift + hi], kernel[o], out=tmp)
+            acc_rows[lo:hi] += tmp
     data = acc[tuple(slice(n) for n in s)]
 
     def vjp_x(g: Array) -> Array:

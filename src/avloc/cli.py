@@ -108,6 +108,19 @@ def cmd_train(args) -> int:
         fh.write(LOSS_CSV_HEADER + "\n")
         for step, l_fc, l_cp, l_fp, total in result.step_log:
             fh.write(f"{step},{l_fc!r},{l_cp!r},{l_fp!r},{total!r}\n")
+    # One JSON line per epoch: the mean of each train term over the epoch's
+    # steps, the validation loss, the lr and the epoch's seconds and clips/s.
+    terms = LOSS_CSV_HEADER.split(",")[1:]
+    steps_per_epoch = -(-len(train_clips) // cfg.optim.batch_size)
+    with open(log_path.with_suffix(".epochs.jsonl"), "w") as fh:
+        for epoch, val_loss, lr, seconds in result.epoch_log:
+            rows = result.step_log[epoch * steps_per_epoch:(epoch + 1) * steps_per_epoch]
+            columns = list(zip(*rows))[1:]
+            record = {"epoch": epoch,
+                      "train": {name: sum(col) / len(col) for name, col in zip(terms, columns)},
+                      "val_loss": val_loss, "lr": lr, "seconds": seconds,
+                      "clips_per_s": len(train_clips) / seconds}
+            fh.write(json.dumps(record) + "\n")
     print(
         f"trained {cfg.optim.epochs} epochs on {len(train_clips)} clips; "
         f"best val loss {result.best_val:.6f} at epoch {result.best_epoch}; "
@@ -248,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--data", required=True, help="dataset root (train/ and val/ inside)")
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--log", help="loss CSV path (default: <out>.loss.csv)")
+    p.add_argument("--log", help="loss CSV path (default: <out>.loss.csv); the per-epoch "
+                   "JSON lines go next to it, as <log stem>.epochs.jsonl")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="run inference and write scored proposals")

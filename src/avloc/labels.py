@@ -85,7 +85,7 @@ def build_prob_triplet(
     ann: StreamAnnotation, d_f: float = 1.0, direction: str = "forward"
 ) -> np.ndarray:
     """[T, 3] start / end / content soft labels in [0, 1] for one direction."""
-    if d_f <= 0:
+    if not d_f > 0:  # also rejects NaN
         raise ValueError(f"d_f must be positive, got {d_f}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")

@@ -97,7 +97,7 @@ def _focal_terms(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
         raise ad.ShapeError(f"focal: shapes differ, pred {pred.shape} vs target {target.shape}")
     if np.any((pred.data <= 0) | (pred.data >= 1)):
         raise ValueError("focal: predictions must lie strictly inside (0, 1)")
-    if np.any((target < 0) | (target > 1)):
+    if not np.all((target >= 0) & (target <= 1)):  # also rejects NaN
         raise ValueError("focal: targets must lie in [0, 1]")
     g = (target > cfg.label_threshold).astype(np.float64)
     weight = cfg.beta0 * g + (1.0 - cfg.beta0) * (1.0 - g)

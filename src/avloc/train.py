@@ -16,6 +16,7 @@ restored at the end.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,8 @@ class _Adam:
 class TrainResult:
     model: Model
     step_log: list[tuple[int, float, float, float, float]] = field(default_factory=list)
-    epoch_log: list[tuple[int, float, float]] = field(default_factory=list)  # epoch, val, lr
+    # epoch, val loss, lr, seconds (the epoch's steps and its validation)
+    epoch_log: list[tuple[int, float, float, float]] = field(default_factory=list)
     best_val: float = float("inf")
     best_epoch: int = -1
 
@@ -165,6 +167,7 @@ def train(
     step = 0
 
     for epoch in range(optim_cfg.epochs):
+        started = time.perf_counter()
         order = rng.permutation(len(train_clips))
         for lo in range(0, len(order), optim_cfg.batch_size):
             batch = order[lo:lo + optim_cfg.batch_size]
@@ -196,7 +199,7 @@ def train(
                 ]))
         else:
             val_loss = result.step_log[-1][4] if result.step_log else 0.0
-        result.epoch_log.append((epoch, val_loss, opt.lr))
+        result.epoch_log.append((epoch, val_loss, opt.lr, time.perf_counter() - started))
 
         if val_loss < result.best_val:
             result.best_val = val_loss

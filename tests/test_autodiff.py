@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -237,6 +238,87 @@ def test_correlation_bytes_match_patch_copy_reference(x_shape, w_shape):
     g = rng.uniform(-2, 2, want.shape)
     for (_, vjp), want_vjp in zip(out._parents, want_vjps, strict=True):
         assert vjp(g).tobytes() == want_vjp(g).tobytes()
+
+
+# Small grids with the default channel counts, so the smallest blocks stay
+# quick; padded grid rows are 40 or 42 long, and the conv1d shapes have 49
+# rows, one past a multiple of 16. Budgets, in rows of the forward: 1, which
+# rounds up to the 16-row minimum, and the primes 37 and 61, which round
+# down to 32 rows (fewer than one padded grid row) and 48 (more).
+BLOCK_SHAPES = {
+    "conv2d_3x3": ((6, 40, 33), (3, 3, 33, 32)),
+    "conv2d_3x1": ((6, 40, 33), (3, 1, 33, 32)),
+    "conv2d_1x3": ((6, 40, 33), (1, 3, 33, 32)),
+    "conv1d": ((49, 16), (3, 16, 32)),
+    "conv1d_pointwise": ((49, 32), (1, 32, 3)),
+}
+BLOCK_BUDGET_ROWS = [1, 37, 61]
+
+
+def _set_block_rows(monkeypatch, rows: int, w_shape) -> int:
+    """Set the budget to `rows` forward rows of w_shape's conv; returns the bytes a row."""
+    *_, cin, cout = w_shape
+    row_bytes = 8 * (cin + 2 * cout)
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", rows * row_bytes)
+    return row_bytes
+
+
+@pytest.mark.parametrize("m", [1, 16, 17, 250, 497, 5198])
+@pytest.mark.parametrize("rows", [*BLOCK_BUDGET_ROWS, 506])
+def test_row_blocks_are_tile_aligned(monkeypatch, m, rows):
+    row_bytes = _set_block_rows(monkeypatch, rows, (33, 32))
+    blocks = ad._row_blocks(m, row_bytes)
+    align = ad._BLOCK_ALIGN
+    step = max(align, rows // align * align)
+    assert [lo for lo, _ in blocks] == list(range(0, len(blocks) * step, step))
+    assert blocks[-1][1] == m and all(hi == lo2 for (_, hi), (lo2, _) in zip(blocks, blocks[1:]))
+    assert all(hi - lo == step for lo, hi in blocks[:-1])
+    assert min(m, align) <= blocks[-1][1] - blocks[-1][0] < step + align
+
+
+@pytest.mark.parametrize("rows", BLOCK_BUDGET_ROWS)
+@pytest.mark.parametrize("x_shape,w_shape", BLOCK_SHAPES.values(), ids=BLOCK_SHAPES)
+def test_correlation_bytes_do_not_depend_on_row_blocks(monkeypatch, rows, x_shape, w_shape):
+    row_bytes = _set_block_rows(monkeypatch, rows, w_shape)
+    ks = w_shape[:-2]
+    padded_row = x_shape[-2] + ks[-1] - 1
+    m = (x_shape[0] - 1) * padded_row + x_shape[1] if len(x_shape) == 3 else x_shape[0]
+    assert len(ad._row_blocks(m, row_bytes)) > 1 or rows == 61 and m == 49
+    rng = np.random.default_rng([rows, *x_shape, *w_shape])
+    x, w = rng.uniform(-2, 2, x_shape), rng.uniform(-2, 2, w_shape)
+    op = ad.conv1d if len(x_shape) == 2 else ad.conv2d
+    out = op(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
+    want, *want_vjps = reference_correlate(x, w)
+    assert out.data.tobytes() == want.tobytes()
+    g = rng.uniform(-2, 2, want.shape)
+    for (_, vjp), want_vjp in zip(out._parents, want_vjps, strict=True):
+        assert vjp(g).tobytes() == want_vjp(g).tobytes()
+
+
+@pytest.mark.parametrize("rows", BLOCK_BUDGET_ROWS)
+@pytest.mark.parametrize("name", ["conv1d_default", "conv1d_pointwise"])
+def test_batched_correlation_bytes_do_not_depend_on_row_blocks(monkeypatch, rows, name):
+    # A batched conv1d's rows run on across the element boundary.
+    _set_block_rows(monkeypatch, rows, BATCH_CASES[name][2][1])
+    test_batched_op_bytes_match_per_element_calls(name)
+
+
+def test_map_conv_forward_transient_stays_within_block_budget():
+    # Default map conv under no_grad: the padded input, the output rows and
+    # at most two block budgets. One full-height scratch (1.3 MB) does not fit.
+    rng = np.random.default_rng(19)
+    x, w = Tensor(rng.uniform(-2, 2, (40, 128, 33))), Tensor(rng.uniform(-2, 2, (3, 3, 33, 32)))
+    padded_input, output_rows = 42 * 130 * 33 * 8, 40 * 130 * 32 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.no_grad():
+            out = ad.conv2d(x, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (40, 128, 32)
+    assert peak < padded_input + output_rows + 2 * ad._BLOCK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 # [L, L] x [T, D]: default, small config, T=512 / L=60, and a tiny case.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -161,6 +162,25 @@ def test_labels_dump(dataset, config_path, tmp_path):
     assert len(first["frame_labels"]) == 32
     assert len(first["boundary_map"]) == 8
     assert set(first["prob_forward"]) == {"start", "end", "content"}
+
+
+def test_train_writes_one_json_line_per_epoch(dataset, tmp_path, capsys):
+    config = tmp_path / "three_epochs.json"
+    config.write_text(json.dumps(dict(TINY_CONFIG, optim={**TINY_CONFIG["optim"], "epochs": 3})))
+    log = tmp_path / "loss.csv"
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(dataset),
+                 "--out", str(tmp_path / "model.ckpt"), "--log", str(log)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1  # nothing printed per epoch
+    steps = [[float(v) for v in line.split(",")[1:]] for line in log.read_text().splitlines()[1:]]
+    records = [json.loads(line) for line in (tmp_path / "loss.epochs.jsonl").read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [0, 1, 2]
+    for r in records:  # 6 train clips in batches of 4: two steps an epoch
+        epoch_steps = steps[2 * r["epoch"]:2 * r["epoch"] + 2]
+        assert r["train"] == {name: sum(col) / 2 for name, col in zip(
+            ("contrastive", "boundary_map", "frame_prob", "total"), zip(*epoch_steps))}
+        assert math.isfinite(r["val_loss"]) and r["lr"] == 0.05
+        assert r["seconds"] > 0 and r["clips_per_s"] == 6 / r["seconds"]
 
 
 def test_full_pipeline_smoke(dataset, config_path, tmp_path):

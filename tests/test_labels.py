@@ -170,7 +170,8 @@ def test_triplet_order_invariance():
 
 
 def test_triplet_rejects_bad_args():
-    with pytest.raises(ValueError, match="d_f"):
-        build_prob_triplet(ann(8), d_f=0.0)
+    for d_f in (0.0, -1.0, float("nan")):  # NaN would make every label NaN
+        with pytest.raises(ValueError, match="d_f"):
+            build_prob_triplet(ann(8), d_f=d_f)
     with pytest.raises(ValueError, match="direction"):
         build_prob_triplet(ann(8), direction="sideways")
