@@ -283,6 +283,8 @@ def test_correlation_bytes_do_not_depend_on_row_blocks(monkeypatch, rows, x_shap
     ks = w_shape[:-2]
     padded_row = x_shape[-2] + ks[-1] - 1
     m = (x_shape[0] - 1) * padded_row + x_shape[1] if len(x_shape) == 3 else x_shape[0]
+    # Every case splits, but the 49-row conv1d under the 48-row budget: its
+    # 1-row remainder joins the first block.
     assert len(ad._row_blocks(m, row_bytes)) > 1 or rows == 61 and m == 49
     rng = np.random.default_rng([rows, *x_shape, *w_shape])
     x, w = rng.uniform(-2, 2, x_shape), rng.uniform(-2, 2, w_shape)
