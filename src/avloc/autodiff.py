@@ -431,10 +431,10 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 # 384 KiB is 496 rows of the default [40, 128, 33] x [3, 3, 33, 32] map conv,
 # whose full-height pass streams 1.3 MiB of scratch and output per offset.
 # On a 2-vCPU Xeon (48 KiB L1d, 2 MiB L2 per core), one BLAS thread, that
-# forward took 0.61-0.67 of its one-block time (median ratio over 150
-# interleaved trials, three sessions; about 2.2 against 3.5 ms when the
-# host was quiet). 256 KiB and 512 KiB measured within noise of 384 KiB,
-# and 1 MiB no better than one block.
+# forward took 0.64-0.67 of its one-block time (median ratio over 150
+# interleaved trials, in each of two sessions; about 2.2 against 3.5 ms
+# when the host was quiet). 256 KiB and 512 KiB measured within noise of
+# 384 KiB, and 1 MiB no better than one block.
 _BLOCK_BYTES = 384 * 1024
 # Blocks start at multiples of this many rows and hold at least as many. A
 # GEMM's result rows are independent of each other only in that frame:
