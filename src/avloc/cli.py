@@ -111,13 +111,9 @@ def cmd_train(args) -> int:
     # One JSON line per epoch: the mean of each train term over the epoch's
     # steps, the validation loss, the lr and the epoch's seconds and clips/s.
     terms = LOSS_CSV_HEADER.split(",")[1:]
-    steps_per_epoch = -(-len(train_clips) // cfg.optim.batch_size)
     with open(log_path.with_suffix(".epochs.jsonl"), "w") as fh:
-        for epoch, val_loss, lr, seconds in result.epoch_log:
-            rows = result.step_log[epoch * steps_per_epoch:(epoch + 1) * steps_per_epoch]
-            columns = list(zip(*rows))[1:]
-            record = {"epoch": epoch,
-                      "train": {name: sum(col) / len(col) for name, col in zip(terms, columns)},
+        for epoch, val_loss, lr, seconds, train_means in result.epoch_log:
+            record = {"epoch": epoch, "train": dict(zip(terms, train_means)),
                       "val_loss": val_loss, "lr": lr, "seconds": seconds,
                       "clips_per_s": len(train_clips) / seconds}
             fh.write(json.dumps(record) + "\n")

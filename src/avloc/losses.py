@@ -95,7 +95,7 @@ def _focal_terms(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ad.ShapeError(f"focal: shapes differ, pred {pred.shape} vs target {target.shape}")
-    if np.any((pred.data <= 0) | (pred.data >= 1)):
+    if not np.all((pred.data > 0) & (pred.data < 1)):  # also rejects NaN
         raise ValueError("focal: predictions must lie strictly inside (0, 1)")
     if not np.all((target >= 0) & (target <= 1)):  # also rejects NaN
         raise ValueError("focal: targets must lie in [0, 1]")

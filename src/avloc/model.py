@@ -11,6 +11,10 @@ with a frame classifier, then two heads on the fused per-frame features:
 * a frame-probability head, a 2-level U-Net over time producing a [T, 3]
   tensor of per-frame probabilities, columns start / end / content.
 
+No parameter or buffer depends on the clip length T, which is read from
+each clip: one model serves any T that is a multiple of 4 (the U-Net's two
+pool stages), T < L included. `ModelConfig.num_frames` is not read here.
+
 The encoder, the fusion and the frame head run once per clip on a stacked
 pair: the forward stream and the time-reversed stream, as element 0 and 1
 of a leading batch axis ([2, T, .]), with shared weights. The pair stays
@@ -43,7 +47,7 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_frames: int = 128   # T, must be divisible by 4 (two pool/upsample stages)
+    num_frames: int = 128   # mirrors synth.num_frames; the model reads T from each clip
     d_audio: int = 16
     d_visual: int = 16
     channels: int = 32      # C, shared embedding width
@@ -51,8 +55,6 @@ class ModelConfig:
     num_samples: int = 16   # N, sample points per candidate segment
 
     def __post_init__(self):
-        if self.num_frames <= 0 or self.num_frames % 4 != 0:
-            raise ValueError("model.num_frames: must be positive and divisible by 4")
         if self.d_audio <= 0 or self.d_visual <= 0:
             raise ValueError("model.d_audio/d_visual: must be positive")
         if self.channels <= 0:
@@ -84,11 +86,11 @@ class BMSamplingMask:
     kernel: np.ndarray  # [N, L, L]
 
 
-def build_sampling_mask(max_duration: int, num_frames: int, num_samples: int) -> BMSamplingMask:
+def build_sampling_mask(max_duration: int, num_samples: int) -> BMSamplingMask:
     if num_samples < 2:
         raise ValueError(f"num_samples must be >= 2, got {num_samples}")
-    if not 1 <= max_duration <= num_frames:
-        raise ValueError(f"max_duration must be in [1, {num_frames}], got {max_duration}")
+    if max_duration < 1:
+        raise ValueError(f"max_duration must be >= 1, got {max_duration}")
     l, n = max_duration, num_samples
     kernel = np.zeros((n, l, l))
     for i in range(l):
@@ -225,7 +227,7 @@ class Model:
                     f"parameter {name!r} has shape {self.params[name].shape}, "
                     f"config requires {shape}"
                 )
-        self.mask = build_sampling_mask(cfg.max_duration, cfg.num_frames, cfg.num_samples)
+        self.mask = build_sampling_mask(cfg.max_duration, cfg.num_samples)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -233,10 +235,8 @@ class Model:
 
     def encode_and_fuse(self, stream: FeatureStream) -> EncodeOutput:
         """Encode and fuse the forward and the time-reversed stream as one stacked pair."""
-        if stream.num_frames != self.cfg.num_frames:
-            raise ValueError(
-                f"stream has {stream.num_frames} frames, model expects {self.cfg.num_frames}"
-            )
+        if stream.num_frames % 4 != 0:  # the frame head's two pool stages
+            raise ValueError(f"stream has {stream.num_frames} frames, not a multiple of 4")
         audio = Tensor(np.stack([stream.audio, stream.audio[::-1]]))
         visual = Tensor(np.stack([stream.visual, stream.visual[::-1]]))
         p = self.params
@@ -256,14 +256,14 @@ class Model:
         p = self.params
         # Collapsing the sample axis with learned weights commutes with the
         # (constant) sampling, so fold the weights into the kernel first.
-        n, l = cfg.num_samples, cfg.max_duration
+        n, l, t = cfg.num_samples, cfg.max_duration, fused.shape[0]
         weights = ad.reshape(p["map_head.sample_w"], (1, n))
         kernel = ad.reshape(ad.matmul(weights, Tensor(self.mask.kernel.reshape(n, l * l))), (l, l))
         grid = ad.banded_matmul(kernel, fused)  # [L, T, C+1]
         hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
-        flat = ad.reshape(hidden, (cfg.max_duration * cfg.num_frames, cfg.channels))
+        flat = ad.reshape(hidden, (l * t, cfg.channels))
         out = ad.sigmoid(ad.add(ad.matmul(flat, p["map_head.out_w"]), p["map_head.out_b"]))
-        return ad.reshape(out, (cfg.max_duration, cfg.num_frames))
+        return ad.reshape(out, (l, t))
 
     def frame_prob_head(self, fused: Tensor) -> Tensor:
         """2-level U-Net over time on a stacked pair: [B, T, C+1] -> [B, T, 3]

@@ -138,8 +138,8 @@ class _Adam:
 class TrainResult:
     model: Model
     step_log: list[tuple[int, float, float, float, float]] = field(default_factory=list)
-    # epoch, val loss, lr, seconds (the epoch's steps and its validation)
-    epoch_log: list[tuple[int, float, float, float]] = field(default_factory=list)
+    # epoch, val loss, lr, seconds (steps and validation), mean step_log losses
+    epoch_log: list[tuple[int, float, float, float, tuple[float, ...]]] = field(default_factory=list)
     best_val: float = float("inf")
     best_epoch: int = -1
 
@@ -168,6 +168,7 @@ def train(
 
     for epoch in range(optim_cfg.epochs):
         started = time.perf_counter()
+        first_step = len(result.step_log)
         order = rng.permutation(len(train_clips))
         for lo in range(0, len(order), optim_cfg.batch_size):
             batch = order[lo:lo + optim_cfg.batch_size]
@@ -199,7 +200,10 @@ def train(
                 ]))
         else:
             val_loss = result.step_log[-1][4] if result.step_log else 0.0
-        result.epoch_log.append((epoch, val_loss, opt.lr, time.perf_counter() - started))
+        columns = list(zip(*result.step_log[first_step:]))[1:]
+        result.epoch_log.append(
+            (epoch, val_loss, opt.lr, time.perf_counter() - started,
+             tuple(sum(col) / len(col) for col in columns)))
 
         if val_loss < result.best_val:
             result.best_val = val_loss

@@ -197,7 +197,8 @@ def test_upsample_then_pool_roundtrip_shape():
     np.testing.assert_array_equal(ad.max_pool1d(up).data, x.data)
 
 
-@pytest.mark.parametrize("l,t", [(3, 5), (4, 4)])
+# L < T, L = T, and L > T: a clip shorter than the longest candidate.
+@pytest.mark.parametrize("l,t", [(3, 5), (4, 4), (6, 4), (9, 2)])
 def test_banded_matmul_matches_dense_band(l, t):
     kernel, x = rand(l, l), rand(t, 2)
     dense = np.zeros((l, t, t))  # dense[i, j, s] = kernel[i, s - j] for in-range (i, j)
@@ -323,8 +324,10 @@ def test_map_conv_forward_transient_stays_within_block_budget():
     assert peak < padded_input + output_rows + 2 * ad._BLOCK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
-# [L, L] x [T, D]: default, small config, T=512 / L=60, and a tiny case.
-@pytest.mark.parametrize("l,t,d", [(40, 128, 33), (12, 64, 9), (60, 512, 33), (4, 16, 5)])
+# [L, L] x [T, D]: default, small config, T=512 / L=60, a tiny case, and
+# clips shorter than L (the default L = 40 at T = 32, and two tiny ones).
+@pytest.mark.parametrize("l,t,d", [(40, 128, 33), (12, 64, 9), (60, 512, 33), (4, 16, 5),
+                                   (40, 32, 33), (6, 4, 3), (9, 2, 2)])
 def test_banded_matmul_bytes_match_sliding_window_reference(l, t, d):
     rng = np.random.default_rng([l, t, d])
     kernel, x = rng.uniform(-2, 2, (l, l)), rng.uniform(-2, 2, (t, d))
@@ -486,6 +489,8 @@ OP_CASES = {
     "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
     "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (4, 4)),
     "banded_matmul_x_square": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
+    "banded_matmul_kernel_long": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (6, 6)),
+    "banded_matmul_x_long": lambda: ((lambda x, c=Tensor(rand(6, 6)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
     # Batched forms: a leading batch axis of 2.
     "conv1d_x_batched": lambda: ((lambda x, c=Tensor(rand(3, 4, 2)): _sq_mean(ad.conv1d(x, c))), (2, 6, 4)),
     "conv1d_w_batched": lambda: ((lambda w, c=Tensor(rand(2, 6, 4)): _sq_mean(ad.conv1d(c, w))), (3, 4, 2)),

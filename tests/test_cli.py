@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from avloc import autodiff as ad
 from avloc.cli import main
 from avloc.config import run_config_from_dict
+from avloc.data import FeatureStream, StreamAnnotation, save_dataset
 from avloc.model import Model, save_checkpoint
 from oracles import append_checkpoint_record
 
@@ -248,6 +250,42 @@ def test_infer_rejects_mismatched_checkpoint(dataset, config_path, tmp_path):
     other_path.write_text(json.dumps(other))
     assert main(["infer", "--config", str(other_path), "--checkpoint", str(ckpt),
                  "--data", str(dataset / "test"), "--out", str(tmp_path / "p.json")]) == 2
+
+
+def test_one_checkpoint_predicts_a_split_of_another_length(dataset, config_path, tmp_path):
+    # A checkpoint carries no clip length: trained on T = 32 clips, it
+    # predicts a T = 64 split under the same config.
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path, "--data", str(dataset),
+                 "--out", str(ckpt)]) == 0
+    long_cfg = dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], num_frames=64),
+                    synth=dict(TINY_CONFIG["synth"], num_frames=64))
+    long_path = tmp_path / "long.json"
+    long_path.write_text(json.dumps(long_cfg))
+    assert main(["synth", "--config", str(long_path), "--out", str(tmp_path / "long")]) == 0
+    preds = tmp_path / "p.json"
+    assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                 "--data", str(tmp_path / "long" / "test"), "--out", str(preds)]) == 0
+    payload = json.loads(preds.read_text())
+    assert len(payload) == 3
+    proposals = [p for clip in payload for p in clip["proposals"]]
+    assert all(0 <= s < e <= 64 for s, e, _ in proposals)
+    assert max(e for _, e, _ in proposals) > 32  # scored over the whole clip
+
+
+def test_clip_length_not_a_multiple_of_4_exits_2(config_path, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, Model(run_config_from_dict(TINY_CONFIG).model, seed=0))
+    rng = np.random.default_rng(0)
+    stream = FeatureStream(audio=rng.normal(size=(18, 4)), visual=rng.normal(size=(18, 4)))
+    save_dataset(tmp_path / "odd", [(stream, StreamAnnotation(id="odd-0", num_frames=18))])
+    preds = tmp_path / "p.json"
+    assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                 "--data", str(tmp_path / "odd"), "--out", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert "stream has 18 frames, not a multiple of 4" in err
+    assert "Traceback" not in err
+    assert not preds.exists()
 
 
 def test_non_finite_checkpoint_exits_2(dataset, config_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,13 @@ from oracles import JSON_VALUES, corrupted_bytes
 def test_defaults_roundtrip():
     cfg = RunConfig()
     assert run_config_from_dict(run_config_to_dict(cfg)) == cfg
+
+
+def test_readme_configuration_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
+    assert json.loads(block) == run_config_to_dict(RunConfig())
 
 
 def test_partial_config_fills_defaults(tmp_path):

@@ -200,8 +200,9 @@ def test_focal_monotone_decreasing_in_true_class_probability():
 
 
 def test_focal_rejects_out_of_range():
-    with pytest.raises(ValueError, match="strictly inside"):
-        focal_loss(Tensor(np.array([0.0, 0.5])), np.array([0.0, 1.0]), CFG)
+    for bad in (0.0, 1.0, np.nan):  # a NaN prediction fails both range comparisons
+        with pytest.raises(ValueError, match="strictly inside"):
+            focal_loss(Tensor(np.array([bad, 0.5])), np.array([1.0, 0.0]), CFG)
     for bad in (1.5, -0.5, np.nan):  # a NaN target would read as negative
         with pytest.raises(ValueError, match="targets"):
             focal_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, bad]), CFG)

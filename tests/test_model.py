@@ -43,9 +43,12 @@ def tiny_stream(seed=0, t=16, d=4):
 
 
 def test_num_frames_must_divide_by_four():
-    with pytest.raises(ValueError, match="divisible by 4"):
-        ModelConfig(num_frames=18, d_audio=4, d_visual=4, channels=4,
-                    max_duration=4, num_samples=4)
+    # The rule is checked on each clip (the frame head's two pool stages),
+    # not on the config, and the error names the clip's frame count.
+    model = Model(TINY, seed=0)
+    for t in (18, 2, 30):
+        with pytest.raises(ValueError, match=f"stream has {t} frames, not a multiple of 4"):
+            model.encode_and_fuse(tiny_stream(t=t))
 
 
 def test_parameter_count_matches_formula():
@@ -78,7 +81,7 @@ def test_init_is_deterministic_and_bounded():
 # -- sampling mask ----------------------------------------------------------
 
 def test_mask_rows_sum_to_one_in_range():
-    kernel = build_sampling_mask(4, 12, 5).kernel  # [N, L, L]
+    kernel = build_sampling_mask(4, 5).kernel  # [N, L, L]
     np.testing.assert_allclose(kernel.sum(axis=2), 1.0, atol=1e-12)
     assert np.all(kernel >= 0.0)
     # Offsets past the candidate's last frame carry no weight.
@@ -92,7 +95,7 @@ def test_mask_rows_sum_to_one_in_range():
 
 
 def test_mask_duration_one_is_point_sample():
-    kernel = build_sampling_mask(3, 8, 4).kernel
+    kernel = build_sampling_mask(3, 4).kernel
     for n in range(4):
         row = kernel[n, 0]
         assert row[0] == 1.0 and row.sum() == 1.0
@@ -100,7 +103,7 @@ def test_mask_duration_one_is_point_sample():
 
 def test_mask_two_samples_hit_span_endpoints():
     # Duration index 3 spans offsets 0..3: samples at offsets 0.0 and 3.0.
-    kernel = build_sampling_mask(4, 8, 2).kernel
+    kernel = build_sampling_mask(4, 2).kernel
     first, last = kernel[0, 3], kernel[1, 3]
     assert first[0] == 1.0 and first.sum() == 1.0
     assert last[3] == 1.0 and last.sum() == 1.0
@@ -108,7 +111,7 @@ def test_mask_two_samples_hit_span_endpoints():
 
 def test_mask_matches_dense_oracle():
     for l, t, n in [(3, 6, 4), (4, 12, 5), (12, 64, 4), (40, 128, 16)]:
-        kernel = build_sampling_mask(l, t, n).kernel
+        kernel = build_sampling_mask(l, n).kernel
         dense = np.zeros((n, l, t, t))  # dense[n, i, j, j + k] = kernel[n, i, k]
         for i in range(l):
             for j in range(t - i):
@@ -368,8 +371,28 @@ def test_small_inference_clip_op_calls_are_untracked(monkeypatch):
 
 def test_wrong_frame_count_rejected():
     model = Model(TINY, seed=0)
-    with pytest.raises(ValueError, match="frames"):
-        model.encode_and_fuse(tiny_stream(t=20))
+    with pytest.raises(ValueError, match="22 frames"):
+        model.forward_full(tiny_stream(t=22))
+
+
+@pytest.mark.parametrize("t", [8, 32, 64, 128])
+def test_one_model_serves_every_clip_length(t):
+    # Default model, L = 40: T = 8 and 32 give clips shorter than L. Every
+    # shape follows the clip; losses and gradients stay finite.
+    cfg = ModelConfig()
+    synth = SynthConfig(count=1, num_frames=t, d_audio=cfg.d_audio, d_visual=cfg.d_visual,
+                        min_segments=1, max_segments=1, min_len=2, max_len=min(t, 16))
+    clip = generate_clip(synth, np.random.default_rng(t), "c")
+    model = Model(cfg, seed=0)
+    losses = clip_losses(model, clip, build_targets(clip[1], cfg.max_duration, 1.0), LossConfig())
+    assert np.all(np.isfinite(losses.values()))
+    losses.total.backward()
+    assert all(np.all(np.isfinite(p.grad)) for p in model.params.values())
+    out = model.forward_full(clip[0])
+    assert out.boundary_map.shape == (cfg.max_duration, t)
+    assert out.probs.shape == (2, t, 3)
+    for prop in predict_clip(model, clip, InferenceConfig()):
+        assert 0 <= prop.segment.start < prop.segment.end <= t
 
 
 # -- checkpoints ------------------------------------------------------------

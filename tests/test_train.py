@@ -54,3 +54,21 @@ def test_training_peak_holds_one_clip_graph():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * graph, f"peak {peak / 2**20:.1f} MiB, graph {graph / 2**20:.1f} MiB"
+
+
+def test_sgd_step_subtracts_the_batch_mean_gradient():
+    # One epoch, one batch of every clip: a single SGD step, kept as the best
+    # (no validation clips), moves each parameter by -lr times the mean of the
+    # clips' gradients.
+    clips = _clips(SMALL, 3, seed=4)
+    reference = Model(SMALL, seed=5)
+    for clip in clips:
+        targets = build_targets(clip[1], SMALL.max_duration, 1.0)
+        clip_losses(reference, clip, targets, LossConfig()).total.backward()  # grads add up
+    model = Model(SMALL, seed=5)
+    train(model, clips, [], LossConfig(),
+          OptimConfig(learning_rate=0.3, epochs=1, batch_size=3, optimizer="sgd"))
+    for name, p in model.params.items():
+        before, grad_sum = reference.params[name].data, reference.params[name].grad
+        np.testing.assert_allclose(p.data, before - 0.3 * grad_sum / 3, rtol=1e-12, atol=1e-15)
+        assert not np.array_equal(p.data, before), name
