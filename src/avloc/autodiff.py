@@ -13,39 +13,27 @@ backward()" before any gradient changes; recompute the forward. Inside a
 `with no_grad():` block ops record no graph: their outputs are untracked
 tensors with no parents, for passes that never call backward().
 
-Freed memory. Released at once, a graph lies free at the top of the heap;
-glibc would hand that top back to the kernel, and serve each large array
-from its own mapping, so every forward pass would fault its pages in
-anew. keep_freed_memory(), called once by train() and predict_clip(),
-raises glibc's mmap threshold to 32 MiB and its trim threshold to
-256 MiB, so the freed graph stays in the heap for the next one. Both are
-needed: the trim threshold alone freezes the mmap threshold at 128 KiB.
-The setting is process-wide, persists after train() returns, changes no
-value, and does nothing off glibc.
+Freed memory. keep_freed_memory(), called once by train() and
+predict_clip(), keeps a released graph's memory in the heap for the next
+graph instead of handing it back to the kernel.
 
 Ops: add, mul, scalar_mul, matmul, transpose, reshape, flip, concat,
-sigmoid, relu, log, sqrt, pow_const, softmax, mean, conv1d, conv2d,
-max_pool1d, upsample1d, banded_matmul and batch_element. conv1d and conv2d
-share one same-padded correlation (_correlate); sums are written as mean
-times count.
+sigmoid, relu, log, sqrt, pow_const, softmax, mean, conv1d, max_pool1d,
+upsample1d, banded_matmul and batch_element. conv1d is a same-padded
+correlation over time; sums are written as mean times count.
 
-Row blocks. _correlate's forward walks its output rows in blocks whose
-input rows, matmul scratch and output rows fit _BLOCK_BYTES (384 KiB), and
-runs every kernel offset over one block before the next, so the block
-stays in cache. Each output row still adds the same GEMM rows in the same
-order, and blocks are aligned to 16 rows (_BLOCK_ALIGN) so that BLAS gives
-each row the bytes one full-height call gives it: the outputs do not
-depend on the budget. The budget is a measured constant, not an option; a
-shape within it (every conv1d here, the small config's map conv) is one
-block.
+Row blocks. conv1d's forward runs every kernel offset over one block of
+output rows, within _BLOCK_BYTES (384 KiB), before the next block, so the
+block stays in cache; blocks are 16-row aligned (_BLOCK_ALIGN), so the
+outputs do not depend on the budget. Every conv1d at T = 128 is one block.
 
 Batch axis. conv1d, matmul, transpose, max_pool1d and upsample1d take an
 optional leading batch axis, fixed by rank: [B, T, C] where the unbatched
 form is [T, C] (for matmul, a [B, M, K] left operand against a shared
 [K, N] or a stacked [B, K, N] right one). softmax and the elementwise ops
 work at any rank. add takes the batch axis only by `batched=True`, since a
-broadcast alone cannot tell a batch axis from a spatial one (conv2d's
-[L, T, C] output plus a [C] bias). batch_element reads one element back.
+broadcast alone cannot tell a batch axis from a spatial one (the map head's
+[L, T, C] grid plus a [C] bias). batch_element reads one element back.
 Every gradient reduced over the batch axis (a shared weight, a bias) is
 reduced per element and the per-element results are added in element
 order, never summed as one reduction over B*T rows. A sum of two terms is
@@ -58,7 +46,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 import os
 from typing import Callable, Iterator, Sequence
 
@@ -310,10 +297,6 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _op(a.data * c, [(a, lambda g: g * c)])
 
 
-def _swap_last(a: Array) -> Array:
-    return np.swapaxes(a, -1, -2)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[M, K] @ [K, N]; batched, [B, M, K] @ [K, N] (shared) or [B, M, K] @ [B, K, N]."""
     ranks = (a.data.ndim, b.data.ndim)
@@ -325,15 +308,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return _batch_sum([ai.T @ gi for ai, gi in zip(a.data, g)])
     else:
         def vjp_b(g: Array) -> Array:
-            return _swap_last(a.data) @ g
-    return _op(a.data @ b.data, [(a, lambda g: g @ _swap_last(b.data)), (b, vjp_b)])
+            return np.swapaxes(a.data, -1, -2) @ g
+    return _op(a.data @ b.data, [(a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, vjp_b)])
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a [M, N] or batched [B, M, N] tensor."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose: expected 2-d or batched 3-d tensor, got shape {a.shape}")
-    return _op(np.ascontiguousarray(_swap_last(a.data)), [(a, _swap_last)])
+def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Swap the last two axes of a [M, N] or batched [B, M, N] tensor, or
+    permute the axes of any tensor by `axes`, as np.transpose does."""
+    n = a.data.ndim
+    if axes is None and n in (2, 3):
+        axes = (*range(n - 2), n - 1, n - 2)
+    if axes is None or sorted(axes) != list(range(n)):
+        raise ShapeError(f"transpose: cannot permute shape {a.shape} by axes {axes}")
+    inverse = tuple(np.argsort(axes))
+    return _op(np.ascontiguousarray(a.data.transpose(axes)), [(a, lambda g: g.transpose(inverse))])
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -426,15 +414,14 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _op(data, [(a, lambda g: np.repeat(np.expand_dims(g / n, axis), n, axis=axis))])
 
 
-# Byte budget of one row block of _correlate's forward: the block's input
-# rows, matmul scratch and output rows, (C_in + 2 C_out) * 8 bytes a row.
-# 384 KiB is 496 rows of the default [40, 128, 33] x [3, 3, 33, 32] map conv,
-# whose full-height pass streams 1.3 MiB of scratch and output per offset.
-# On a 2-vCPU Xeon (48 KiB L1d, 2 MiB L2 per core), one BLAS thread, that
-# forward took 0.64-0.67 of its one-block time (median ratio over 150
-# interleaved trials, in each of two sessions; about 2.2 against 3.5 ms
-# when the host was quiet). 256 KiB and 512 KiB measured within noise of
-# 384 KiB, and 1 MiB no better than one block.
+# Byte budget of one row block of conv1d's forward: the block's input rows,
+# matmul scratch and output rows, (C_in + 2 C_out) * 8 bytes a row. On a
+# 2-vCPU Xeon (48 KiB L1d, 2 MiB L2 per core), one BLAS thread, freed memory
+# kept, T = 512: the map conv [512, 33] x [3, 33, 96] and the frame head's
+# widest convs ran their blocked forward in 0.80-0.82 of the one-block time,
+# the encoders' [2, 512, 16] convs in 1.09 (median ratios, 60 interleaved
+# trials). Chosen on the former 3x3 map conv, where 256 KiB to 512 KiB did
+# equally well and 1 MiB no better than one block.
 _BLOCK_BYTES = 384 * 1024
 # Blocks start at multiples of this many rows and hold at least as many. A
 # GEMM's result rows are independent of each other only in that frame:
@@ -461,83 +448,57 @@ def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _correlate(name: str, x: Tensor, w: Tensor, batched: bool = False) -> Tensor:
-    """Same-padded correlation over the leading axes: [*S, C_in] x [*K, C_in, C_out] -> [*S, C_out].
+def conv1d(x: Tensor, w: Tensor) -> Tensor:
+    """Same-padded correlation along the time axis: [T, C_in] x [k, C_in, C_out] -> [T, C_out],
+    or batched, [B, T, C_in] -> [B, T, C_out]; k must be odd.
 
-    Every kernel extent must be odd. The zero-padded input is read as flat
-    rows, and output cell i is laid at row i . strides of the padded grid, so
-    the patch of kernel offset o is the m contiguous rows from o . strides.
-    The output rows are walked in blocks of at most _BLOCK_BYTES of input,
-    scratch and output rows (_row_blocks), so a block stays in cache across
-    the kernel offsets: within a block, one matmul per kernel offset in
-    np.ndindex order into the block's scratch, added to the block's rows.
-    Every output cell so sums the same GEMM rows in the same order as with
-    one full-height matmul per offset, and gets the same bytes; a shape
-    within the budget is one block, with exactly those calls. The output is
-    the view of those rows without the pad columns (for conv1d, all of
-    them). With `batched`, axis 0 of x is a batch axis: the kernel gets an
-    extent of 1 there, and the weight gradient is reduced per element.
+    The zero-padded input is read as flat rows, the elements one after the
+    other, and output frame t of element e is laid at row e (T + k - 1) + t,
+    so the patch of kernel offset o is the m contiguous rows from row o. In
+    each row block (_row_blocks), one matmul per offset, in offset order,
+    into the block's scratch is added to the block's rows: every output row
+    sums the same GEMM rows in the same order as one full-height matmul per
+    offset would. The output is the view of those rows without the pad
+    rows. With a batch axis, the weight gradient is reduced per element.
     """
-    kernel = w.data[None] if batched else w.data
-    *ks, cin, cout = kernel.shape
-    if cin != x.data.shape[-1] or any(k % 2 != 1 for k in ks):
-        raise ShapeError(f"{name}: incompatible shapes {x.shape} and {w.shape}")
-    s = x.data.shape[:-1]
-    padded = tuple(n + k - 1 for n, k in zip(s, ks))
-    inner = tuple(slice(k // 2, k // 2 + n) for k, n in zip(ks, s))
-    strides = [math.prod(padded[d + 1:]) for d in range(len(s))]
-    m = sum((n - 1) * stride for n, stride in zip(s, strides)) + 1
+    if x.data.ndim not in (2, 3) or w.data.ndim != 3:
+        raise ShapeError(f"conv1d: expected [T,Cin] or [B,T,Cin] and [k,Cin,Cout], "
+                         f"got {x.shape} and {w.shape}")
+    k, cin, cout = w.data.shape
+    if cin != x.data.shape[-1] or k % 2 != 1:
+        raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
+    batched = x.data.ndim == 3
+    b, t = x.data.shape[:-1] if batched else (1, x.data.shape[0])
+    inner = slice(k // 2, k // 2 + t)
+    m = (b - 1) * (t + k - 1) + t
     # Padded by hand: np.pad alone takes ~25 us a call (2-core x86-64).
-    xp = np.zeros(padded + (cin,))
-    xp[inner] = x.data
+    xp = np.zeros((b, t + k - 1, cin))
+    xp[:, inner] = x.data
     rows = xp.reshape(-1, cin)
-    windows = {o: tuple(slice(a, a + n) for a, n in zip(o, s)) for o in np.ndindex(*ks)}
-    shifts = {o: sum(a * stride for a, stride in zip(o, strides)) for o in windows}
-    acc = np.zeros(s[:1] + padded[1:] + (cout,))
+    acc = np.zeros((b, t + k - 1, cout))
     acc_rows = acc.reshape(-1, cout)[:m]
     blocks = _row_blocks(m, 8 * (cin + 2 * cout))
     scratch = np.empty((max(hi - lo for lo, hi in blocks), cout))
     for lo, hi in blocks:
         tmp = scratch[:hi - lo]
-        for o, shift in shifts.items():
-            np.matmul(rows[shift + lo:shift + hi], kernel[o], out=tmp)
+        for o in range(k):
+            np.matmul(rows[o + lo:o + hi], w.data[o], out=tmp)
             acc_rows[lo:hi] += tmp
-    data = acc[tuple(slice(n) for n in s)]
+    data = acc[:, :t] if batched else acc[0, :t]
 
     def vjp_x(g: Array) -> Array:
         gp = np.zeros_like(xp)
-        for o, win in windows.items():
-            gp[win] += (g.reshape(-1, cout) @ kernel[o].T).reshape(s + (cin,))
-        return gp[inner]
-
-    def weight_grad(xe: Array, ge: Array, wins) -> Array:
-        grads = [xe[win].reshape(-1, cin).T @ ge.reshape(-1, cout) for win in wins]
-        return np.stack(grads).reshape(w.data.shape)
+        g_rows = g.reshape(-1, cout)
+        for o in range(k):
+            gp[:, o:o + t] += (g_rows @ w.data[o].T).reshape(b, t, cin)
+        return gp[:, inner] if batched else gp[0, inner]
 
     def vjp_w(g: Array) -> Array:
-        if not batched:
-            return weight_grad(xp, g, windows.values())
-        element_wins = [win[1:] for win in windows.values()]  # drop the batch-axis slice
-        return _batch_sum([weight_grad(xe, ge, element_wins) for xe, ge in zip(xp, g)])
+        per_element = zip(xp, g if batched else g[None])
+        return _batch_sum([np.stack([xe[o:o + t].T @ ge.reshape(-1, cout) for o in range(k)])
+                           for xe, ge in per_element])
 
     return _op(data, [(x, vjp_x), (w, vjp_w)])
-
-
-def conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Same-padded correlation along the time axis: [T, C_in] x [k, C_in, C_out] -> [T, C_out],
-    or batched, [B, T, C_in] -> [B, T, C_out]."""
-    if x.data.ndim not in (2, 3) or w.data.ndim != 3:
-        raise ShapeError(
-            f"conv1d: expected [T,Cin] or [B,T,Cin] and [k,Cin,Cout], got {x.shape} and {w.shape}"
-        )
-    return _correlate("conv1d", x, w, batched=x.data.ndim == 3)
-
-
-def conv2d(x: Tensor, w: Tensor) -> Tensor:
-    """Same-padded 3x3 correlation over a grid: [H, W, C_in] x [3, 3, C_in, C_out]."""
-    if x.data.ndim != 3 or w.data.ndim != 4:
-        raise ShapeError(f"conv2d: expected [H,W,Cin] and [kh,kw,Cin,Cout], got {x.shape} and {w.shape}")
-    return _correlate("conv2d", x, w)
 
 
 def max_pool1d(x: Tensor) -> Tensor:
@@ -585,12 +546,13 @@ def batch_element(a: Tensor, i: int) -> Tensor:
 
 
 def _offset_windows(x: Array, l: int) -> Array:
-    """[L, T*D] windows of a [T, D] array: windows[k, j*D + c] = x[j + k, c], 0 past the last frame."""
-    t, d = x.shape
-    windows = np.zeros((l, t, d))
+    """[A*L, T*D] windows of an [A, T, D] array: windows[a*L + k, j*D + c] = x[a, j + k, c],
+    0 past the last frame."""
+    a, t, d = x.shape
+    windows = np.zeros((a, l, t, d))
     for k in range(min(l, t)):
-        windows[k, :t - k] = x[k:]
-    return windows.reshape(l, t * d)
+        windows[:, k, :t - k] = x[:, k:]
+    return windows.reshape(a * l, t * d)
 
 
 def _zero_past_end(a: Array) -> Array:
@@ -602,31 +564,37 @@ def _zero_past_end(a: Array) -> Array:
 
 
 def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
-    """Apply an offset kernel at every start: [L, L] x [T, D] -> [L, T, D].
+    """Apply A offset kernels at every start and add them: [A, L, L] x [T, A*D] -> [L, T, D].
 
-    out[i, j] = sum_k kernel[i, k] * x[j + k] where j + i < T, and 0 where
-    j + i >= T; rows of x past the last frame read as zero. This is the
-    dense [L*T, T] matrix with entries kernel[i, s - j], applied without
-    building it: one [L, L] @ [L, T*D] matmul over the offset windows of x.
-    The kernel's VJP rebuilds the windows rather than keep them in the graph.
+    out[i, j] = sum_a sum_k kernel[a, i, k] * x_a[j + k] where j + i < T, and
+    0 where j + i >= T, with x_a = x[:, a*D:(a+1)*D]; rows past the last frame
+    read as zero. Each tap is the dense [L*T, T] matrix with entries
+    kernel[a, i, s - j], applied without building it: one [L, A*L] @
+    [A*L, T*D] matmul over the taps' stacked offset windows. The VJPs rebuild
+    the windows one tap at a time rather than keep them in the graph.
     """
-    if kernel.data.ndim != 2 or x.data.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise ShapeError(
-            f"banded_matmul: expected [L,L] and [T,D], got {kernel.shape} and {x.shape}"
-        )
-    l = kernel.data.shape[0]
-    t, d = x.data.shape
-    data = _zero_past_end((kernel.data @ _offset_windows(x.data, l)).reshape(l, t, d))
+    if (kernel.data.ndim != 3 or x.data.ndim != 2 or kernel.shape[1] != kernel.shape[2]
+            or x.shape[1] % kernel.shape[0]):
+        raise ShapeError(f"banded_matmul: expected [A,L,L] and [T,A*D], "
+                         f"got {kernel.shape} and {x.shape}")
+    a, l, _ = kernel.data.shape
+    t, d = x.data.shape[0], x.data.shape[1] // a
+    taps = kernel.data.transpose(1, 0, 2).reshape(l, a * l)
+    x_taps = np.ascontiguousarray(x.data.reshape(t, a, d).transpose(1, 0, 2))
+    data = _zero_past_end((taps @ _offset_windows(x_taps, l)).reshape(l, t, d))
 
     def vjp_kernel(g: Array) -> Array:
-        return _zero_past_end(g.copy()).reshape(l, t * d) @ _offset_windows(x.data, l).T
+        gm = _zero_past_end(g.copy()).reshape(l, t * d)
+        return np.stack([gm @ _offset_windows(x_taps[i:i + 1], l).T for i in range(a)])
 
     def vjp_x(g: Array) -> Array:
-        gw = (kernel.data.T @ _zero_past_end(g.copy()).reshape(l, t * d)).reshape(l, t, d)
-        gp = np.zeros((t + l - 1, d))
-        for k in range(l):
-            gp[k:k + t] += gw[k]
-        return gp[:t]
+        gm = _zero_past_end(g.copy()).reshape(l, t * d)
+        gp = np.zeros((a, t + l - 1, d))
+        for i in range(a):
+            gw = (kernel.data[i].T @ gm).reshape(l, t, d)
+            for k in range(l):
+                gp[i, k:k + t] += gw[k]
+        return gp[:, :t].transpose(1, 0, 2).reshape(t, a * d)
 
     return _op(data, [(kernel, vjp_kernel), (x, vjp_x)])
 

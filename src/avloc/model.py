@@ -5,9 +5,9 @@ with a frame classifier, then two heads on the fused per-frame features:
 
 * a boundary-map head that softly samples every candidate segment
   (start j, duration i+1) with a fixed interpolation kernel, collapses the
-  sample axis with learned weights, and scores the [L, T] grid with a small
-  2-d conv stack. The kernel is indexed by offset from the start, [N, L, L],
-  so its size does not grow with T;
+  sample axis with learned weights, and scores the [L, T] grid with a 3x3
+  conv folded into the sampling and a linear read-out. The kernel is
+  indexed by offset from the start, so its size does not grow with T;
 * a frame-probability head, a 2-level U-Net over time producing a [T, 3]
   tensor of per-frame probabilities, columns start / end / content.
 
@@ -74,16 +74,18 @@ class ModelConfig:
 class BMSamplingMask:
     """Interpolation weights that soft-sample per-frame features per candidate.
 
-    kernel[n, i, k] is the weight that sample point n of a candidate with
-    duration index i (i + 1 frames) puts on the frame k frames after the
-    candidate's start. Sample point n sits at offset n * i / (N - 1) and
-    splits its unit weight linearly between the two neighbouring frames, so
-    the weights depend on the offset alone, never on the start, and
+    taps[n, 1, i, k], the kernel, is the weight that sample point n of a
+    candidate with duration index i (i + 1 frames) puts on the frame k frames
+    after the candidate's start. Sample point n sits at offset n * i / (N - 1)
+    and splits its unit weight linearly between the two neighbouring frames,
+    so the weights depend on the offset alone, never on the start, and
     k <= i. Candidates that run past the last frame are masked where the
-    kernel is applied (`autodiff.banded_matmul`).
+    kernel is applied (`autodiff.banded_matmul`). Taps a = 0 and 2 are the
+    kernel row-shifted for the map conv's duration taps: taps[n, a, i] =
+    taps[n, 1, i + a - 1], zero outside [0, L).
     """
 
-    kernel: np.ndarray  # [N, L, L]
+    taps: np.ndarray  # [N, 3, L, L]
 
 
 def build_sampling_mask(max_duration: int, num_samples: int) -> BMSamplingMask:
@@ -92,23 +94,34 @@ def build_sampling_mask(max_duration: int, num_samples: int) -> BMSamplingMask:
     if max_duration < 1:
         raise ValueError(f"max_duration must be >= 1, got {max_duration}")
     l, n = max_duration, num_samples
-    kernel = np.zeros((n, l, l))
-    for i in range(l):
-        # Offsets within [0, duration-1]; clamp and snap to kill float drift
-        # so integer sample positions stay exactly one-hot.
-        rel = np.minimum(np.arange(n) * i / (n - 1), float(i))
-        for m in range(n):
-            base = int(np.floor(rel[m]))
-            frac = rel[m] - base
-            if frac < 1e-9:
-                frac = 0.0
-            elif frac > 1.0 - 1e-9:
-                base += 1
-                frac = 0.0
-            kernel[m, i, base] += 1.0 - frac
-            if frac > 0.0:
-                kernel[m, i, base + 1] += frac
-    return BMSamplingMask(kernel=kernel)
+    m, i = np.indices((n, l))
+    # Offsets within [0, duration-1]; clamp and snap to kill float drift
+    # so integer sample positions stay exactly one-hot.
+    rel = np.minimum(m * i / (n - 1), i.astype(float))
+    base = np.floor(rel)
+    frac = rel - base
+    up = frac > 1.0 - 1e-9
+    base = (base + up).astype(int)
+    frac[up | (frac < 1e-9)] = 0.0
+    taps = np.zeros((n, 3, l, l))
+    kernel = taps[:, 1]
+    kernel[m, i, base] = 1.0 - frac
+    split = frac > 0.0
+    kernel[m[split], i[split], base[split] + 1] = frac[split]
+    taps[:, 0, 1:], taps[:, 2, :-1] = kernel[:, :-1], kernel[:, 1:]
+    return BMSamplingMask(taps=taps)
+
+
+def check_frame_count(num_frames: int, where: str = "") -> None:
+    """The frame head's two pool stages need a clip length that is a multiple of 4."""
+    if num_frames % 4 != 0:
+        raise ValueError(f"{where}stream has {num_frames} frames, not a multiple of 4")
+
+
+def check_clip_lengths(clips, split: str) -> None:
+    """check_frame_count on every clip of a split, naming the split and the clip."""
+    for stream, ann in clips:
+        check_frame_count(stream.num_frames, f"{split}: clip {ann.id!r}: ")
 
 
 # Parameter table: name -> shape builder. Order is fixed so that seeded
@@ -178,8 +191,8 @@ class EncodeOutput:
     Channel C of `fused` is the frame classifier's fake probability."""
 
     fused: Tensor  # [2, T, C+1]
-    f_av: Tensor   # [2, T, C] audio-queried cross-attention output
-    f_va: Tensor   # [2, T, C] visual-queried cross-attention output
+    f_av: Tensor   # [2, T, C] audio features plus the audio-queried cross-attention
+    f_va: Tensor   # [2, T, C] visual features plus the visual-queried cross-attention
 
 
 @dataclass
@@ -199,6 +212,15 @@ def _cross_attention(query_feat: Tensor, kv_feat: Tensor, wq: Tensor, wk: Tensor
     v = ad.matmul(kv_feat, wv)
     scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(c))
     return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+def folded_conv2d(taps: Tensor, x: Tensor, w: Tensor) -> Tensor:
+    """A [KA, KB, C_in, C_out] conv over the [L, T, C_in] grid of banded x,
+    folded into the band: [KA, L, L] kernels, row-shifted per duration tap,
+    x [T, C_in] -> [L, T, C_out]. The KB time taps run first, as one conv1d."""
+    ka, kb, cin, cout = w.shape
+    w = ad.reshape(ad.transpose(w, (1, 2, 0, 3)), (kb, cin, ka * cout))
+    return ad.banded_matmul(taps, ad.conv1d(x, w))
 
 
 def _conv_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -235,15 +257,14 @@ class Model:
 
     def encode_and_fuse(self, stream: FeatureStream) -> EncodeOutput:
         """Encode and fuse the forward and the time-reversed stream as one stacked pair."""
-        if stream.num_frames % 4 != 0:  # the frame head's two pool stages
-            raise ValueError(f"stream has {stream.num_frames} frames, not a multiple of 4")
+        check_frame_count(stream.num_frames)
         audio = Tensor(np.stack([stream.audio, stream.audio[::-1]]))
         visual = Tensor(np.stack([stream.visual, stream.visual[::-1]]))
         p = self.params
         f_a = _conv_relu(audio, p["enc_audio.w"], p["enc_audio.b"])
         f_v = _conv_relu(visual, p["enc_visual.w"], p["enc_visual.b"])
-        f_av = _cross_attention(f_a, f_v, p["att_av.q"], p["att_av.k"], p["att_av.v"])
-        f_va = _cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"], p["att_va.v"])
+        f_av = ad.add(f_a, _cross_attention(f_a, f_v, p["att_av.q"], p["att_av.k"], p["att_av.v"]))
+        f_va = ad.add(f_v, _cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"], p["att_va.v"]))
         fused = ad.add(ad.matmul(ad.concat([f_av, f_va], axis=-1), p["fusion.w"]), p["fusion.b"],
                        batched=True)
         fake_prob = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"],
@@ -254,14 +275,20 @@ class Model:
         """Score every candidate segment: [T, C+1] fused features -> [L, T] map."""
         cfg = self.cfg
         p = self.params
-        # Collapsing the sample axis with learned weights commutes with the
-        # (constant) sampling, so fold the weights into the kernel first.
-        n, l, t = cfg.num_samples, cfg.max_duration, fused.shape[0]
+        # The sampling is linear, so both the learned sample weights and a 3x3
+        # conv over the [L, T, C+1] grid of sampled features fold into it. The
+        # conv's tap conv_w[a, b] sits at duration offset a - 1 and time offset
+        # b - 1: its time taps run first, as one conv1d with C channels per
+        # duration tap, and duration tap a reads the kernel row-shifted by a - 1.
+        # Where a conv over the masked grid reads its zero padding or a masked
+        # cell (the t = 0 column, the last two in-range diagonals), the fold
+        # reads sampled features.
+        n, l, t, c = cfg.num_samples, cfg.max_duration, fused.shape[0], cfg.channels
         weights = ad.reshape(p["map_head.sample_w"], (1, n))
-        kernel = ad.reshape(ad.matmul(weights, Tensor(self.mask.kernel.reshape(n, l * l))), (l, l))
-        grid = ad.banded_matmul(kernel, fused)  # [L, T, C+1]
-        hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
-        flat = ad.reshape(hidden, (l * t, cfg.channels))
+        taps = ad.reshape(ad.matmul(weights, Tensor(self.mask.taps.reshape(n, -1))), (3, l, l))
+        grid = folded_conv2d(taps, fused, p["map_head.conv_w"])  # [L, T, C]
+        hidden = ad.relu(ad.add(grid, p["map_head.conv_b"]))
+        flat = ad.reshape(hidden, (l * t, c))
         out = ad.sigmoid(ad.add(ad.matmul(flat, p["map_head.out_w"]), p["map_head.out_b"]))
         return ad.reshape(out, (l, t))
 

@@ -8,8 +8,10 @@ time. The losses take the model's stacked pair as it is. Each
 optimization step accumulates gradients over a batch of clips, scales by
 the batch size, and applies one parameter update. A clip whose four loss
 values are not all finite stops training with a ValueError that names the
-epoch, step and clip. backward() releases each clip's graph as it takes
-the gradients, so one graph is live at a time. The learning rate halves whenever validation loss has not improved for
+epoch, step and clip; a clip of a length the model cannot take, one naming
+the split and clip, before the first step. backward() releases each clip's
+graph as it takes the gradients, so one graph is live at a time. The
+learning rate halves whenever validation loss has not improved for
 `patience` consecutive epochs, and the best-validation parameters are
 restored at the end.
 """
@@ -30,7 +32,7 @@ from .losses import (
     frame_prob_loss,
     total_loss,
 )
-from .model import Model
+from .model import Model, check_clip_lengths
 from .autodiff import Tensor, keep_freed_memory, no_grad
 
 
@@ -154,6 +156,8 @@ def train(
     seed: int = 0,
 ) -> TrainResult:
     keep_freed_memory()
+    check_clip_lengths(train_clips, "train")
+    check_clip_lengths(val_clips, "val")
     max_duration = model.cfg.max_duration
     train_targets = [build_targets(ann, max_duration, d_f) for _, ann in train_clips]
     val_targets = [build_targets(ann, max_duration, d_f) for _, ann in val_clips]

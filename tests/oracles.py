@@ -5,8 +5,9 @@ sharing no code with the package implementations it checks, except the
 earlier implementations kept verbatim so that their faster successors can
 be pinned to their exact bytes: `reference_soft_nms`, the all-rows Soft-NMS
 loop; `reference_correlate`, the per-offset patch-copy correlation behind
-conv1d and conv2d; `reference_banded_matmul`, the padded sliding-window
-offset-kernel product; and `reference_max_pool1d`, the argmax pooling.
+conv1d; `reference_banded_matmul`, the padded sliding-window product of
+one offset kernel (banded_matmul's one-tap case); and
+`reference_max_pool1d`, the argmax pooling.
 These ops return their output and VJP closures as plain arrays and
 functions instead of a Tensor. `reference_forward_full` is the earlier
 two-pass model forward, one encoder and frame-head pass per direction, its
@@ -345,8 +346,10 @@ def _reference_encode_and_fuse(model: Model, stream: FeatureStream, direction: s
     p = model.params
     f_a = ad.relu(ad.add(ad.conv1d(Tensor(audio), p["enc_audio.w"]), p["enc_audio.b"]))
     f_v = ad.relu(ad.add(ad.conv1d(Tensor(visual), p["enc_visual.w"]), p["enc_visual.b"]))
-    f_av = _reference_cross_attention(f_a, f_v, p["att_av.q"], p["att_av.k"], p["att_av.v"])
-    f_va = _reference_cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"], p["att_va.v"])
+    f_av = ad.add(f_a, _reference_cross_attention(f_a, f_v, p["att_av.q"], p["att_av.k"],
+                                                  p["att_av.v"]))
+    f_va = ad.add(f_v, _reference_cross_attention(f_v, f_a, p["att_va.q"], p["att_va.k"],
+                                                  p["att_va.v"]))
     fused = ad.add(ad.matmul(ad.concat([f_av, f_va], axis=1), p["fusion.w"]), p["fusion.b"])
     frame_probs = ad.sigmoid(ad.add(ad.matmul(fused, p["frame_cls.w"]), p["frame_cls.b"]))
     full = ad.concat([fused, frame_probs], axis=1)
@@ -376,8 +379,11 @@ def _reference_two_pass(model: Model, stream: FeatureStream):
     """The earlier `Model.forward_full`, copied verbatim but for the model
     argument and the return value: the encoder and the frame head run once
     per direction on unbatched [T, .] tensors; the boundary-map head is the
-    model's own. Returns the boundary map and the [forward, backward] lists
-    of frame probabilities and of both cross-attention outputs."""
+    model's own. Its encoder has since gained the residual path (each
+    modality's features added to its attention output), and so has
+    `_reference_encode_and_fuse`. Returns the boundary map and the
+    [forward, backward] lists of frame probabilities and of both fused
+    cross-attention outputs."""
     fwd = _reference_encode_and_fuse(model, stream, "forward")
     bwd = _reference_encode_and_fuse(model, stream, "backward")
     boundary_map = model.boundary_map_head(fwd[0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from avloc import autodiff as ad
 from avloc.autodiff import ShapeError, Tensor, grad_check
+from avloc.model import folded_conv2d
 from oracles import reference_banded_matmul, reference_correlate, reference_max_pool1d
 
 RNG = np.random.default_rng(1234)
@@ -143,24 +144,10 @@ def test_shape_errors_name_op_and_shapes(op, shapes):
 @pytest.mark.parametrize("op,x_shape,w_shape", [
     ("conv1d", (6, 4), (2, 4, 3)),  # even kernel
     ("conv1d", (6, 4), (3, 5, 3)),  # C_in mismatch
-    ("conv2d", (4, 5, 3), (3, 2, 3, 2)),
-    ("conv2d", (4, 5, 3), (3, 3, 4, 2)),
 ])
 def test_conv_shape_errors_name_op(op, x_shape, w_shape):
     with pytest.raises(ShapeError, match=f"{op}: incompatible shapes"):
         getattr(ad, op)(Tensor(rand(*x_shape)), Tensor(rand(*w_shape)))
-
-
-def test_conv1d_is_conv2d_with_unit_width():
-    x, w = rand(7, 4), rand(3, 4, 2)
-    results = []
-    for op, xv, wv in ((ad.conv1d, x, w), (ad.conv2d, x[:, None], w[:, None])):
-        xt, wt = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
-        out = op(xt, wt)
-        _sq_mean(out).backward()
-        results.append((out.data.ravel(), xt.grad.ravel(), wt.grad.ravel()))
-    for got, want in zip(*results):
-        assert np.array_equal(got, want)
 
 
 def test_log_rejects_nonpositive():
@@ -197,33 +184,47 @@ def test_upsample_then_pool_roundtrip_shape():
     np.testing.assert_array_equal(ad.max_pool1d(up).data, x.data)
 
 
-# L < T, L = T, and L > T: a clip shorter than the longest candidate.
-@pytest.mark.parametrize("l,t", [(3, 5), (4, 4), (6, 4), (9, 2)])
-def test_banded_matmul_matches_dense_band(l, t):
-    kernel, x = rand(l, l), rand(t, 2)
-    dense = np.zeros((l, t, t))  # dense[i, j, s] = kernel[i, s - j] for in-range (i, j)
+def _dense_band(kernel, t):
+    """dense[i, j, s] = kernel[i, s - j] for in-range (i, j) and s < t."""
+    l = kernel.shape[0]
+    dense = np.zeros((l, t, t))
     for i in range(l):
         for j in range(t - i):
             for k in range(l):
                 if j + k < t:
                     dense[i, j, j + k] = kernel[i, k]
+    return dense
+
+
+# L < T, L = T, and L > T: a clip shorter than the longest candidate.
+@pytest.mark.parametrize("l,t", [(3, 5), (4, 4), (6, 4), (9, 2)])
+def test_banded_matmul_matches_dense_band(l, t):
+    kernel, x = rand(l, l), rand(t, 2)
+    out = ad.banded_matmul(Tensor(kernel[None]), Tensor(x))
+    np.testing.assert_allclose(out.data, _dense_band(kernel, t) @ x, rtol=0, atol=1e-12)
+
+
+# A taps: tap a's band applied to channel block a of x, summed over the taps.
+@pytest.mark.parametrize("a,l,t", [(3, 3, 5), (3, 4, 4), (2, 6, 4), (3, 9, 2)])
+def test_banded_matmul_taps_match_dense_bands(a, l, t):
+    kernel, x = rand(a, l, l), rand(t, a * 2)
     out = ad.banded_matmul(Tensor(kernel), Tensor(x))
-    np.testing.assert_allclose(out.data, dense @ x, rtol=0, atol=1e-12)
+    want = sum(_dense_band(kernel[k], t) @ x[:, 2 * k:2 * k + 2] for k in range(a))
+    assert out.shape == (l, t, 2)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 
-# Shapes of the model's correlations: the default boundary-map conv and its
-# 3x1 / 1x3 kernels, the default frame-head convs, the criterion-8 small
-# config (T=64, C=8, L=12) and a T=512, L=60 map.
+# Shapes of the model's correlations: the default boundary-map conv
+# ([T, C+1] -> [T, 3C], one C block per duration tap), the default
+# frame-head convs, the criterion-8 small config (T=64, C=8) and a T=512 map.
 CORRELATE_SHAPES = {
-    "conv2d_default": ((40, 128, 33), (3, 3, 33, 32)),
-    "conv2d_default_3x1": ((40, 128, 33), (3, 1, 33, 32)),
-    "conv2d_default_1x3": ((40, 128, 33), (1, 3, 33, 32)),
+    "conv1d_map_default": ((128, 33), (3, 33, 96)),
     "conv1d_default": ((128, 16), (3, 16, 32)),
     "conv1d_default_pointwise": ((128, 32), (1, 32, 3)),
-    "conv2d_small": ((12, 64, 9), (3, 3, 9, 8)),
+    "conv1d_map_small": ((64, 9), (3, 9, 24)),
     "conv1d_small": ((64, 9), (3, 9, 8)),
     "conv1d_small_pointwise": ((64, 8), (1, 8, 3)),
-    "conv2d_t512_l60": ((60, 512, 33), (3, 3, 33, 32)),
+    "conv1d_map_t512": ((512, 33), (3, 33, 96)),
 }
 
 
@@ -231,8 +232,7 @@ CORRELATE_SHAPES = {
 def test_correlation_bytes_match_patch_copy_reference(x_shape, w_shape):
     rng = np.random.default_rng([*x_shape, *w_shape])
     x, w = rng.uniform(-2, 2, x_shape), rng.uniform(-2, 2, w_shape)
-    op = ad.conv1d if len(x_shape) == 2 else ad.conv2d
-    out = op(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
+    out = ad.conv1d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
     want, *want_vjps = reference_correlate(x, w)
     assert out.shape == want.shape
     assert out.data.tobytes() == want.tobytes()
@@ -241,15 +241,13 @@ def test_correlation_bytes_match_patch_copy_reference(x_shape, w_shape):
         assert vjp(g).tobytes() == want_vjp(g).tobytes()
 
 
-# Small grids with the default channel counts, so the smallest blocks stay
-# quick; padded grid rows are 40 or 42 long, and the conv1d shapes have 49
-# rows, one past a multiple of 16. Budgets, in rows of the forward: 1, which
-# rounds up to the 16-row minimum, and the primes 37 and 61, which round
-# down to 32 rows (fewer than one padded grid row) and 48 (more).
+# The boundary-map conv at T = 128 and 512, and the default channel counts
+# at 49 rows, one past a multiple of 16. Budgets, in rows of the forward: 1,
+# which rounds up to the 16-row minimum, and the primes 37 and 61, which
+# round down to 32 rows and 48.
 BLOCK_SHAPES = {
-    "conv2d_3x3": ((6, 40, 33), (3, 3, 33, 32)),
-    "conv2d_3x1": ((6, 40, 33), (3, 1, 33, 32)),
-    "conv2d_1x3": ((6, 40, 33), (1, 3, 33, 32)),
+    "conv1d_map_t128": ((128, 33), (3, 33, 96)),
+    "conv1d_map_t512": ((512, 33), (3, 33, 96)),
     "conv1d": ((49, 16), (3, 16, 32)),
     "conv1d_pointwise": ((49, 32), (1, 32, 3)),
 }
@@ -281,16 +279,13 @@ def test_row_blocks_are_tile_aligned(monkeypatch, m, rows):
 @pytest.mark.parametrize("x_shape,w_shape", BLOCK_SHAPES.values(), ids=BLOCK_SHAPES)
 def test_correlation_bytes_do_not_depend_on_row_blocks(monkeypatch, rows, x_shape, w_shape):
     row_bytes = _set_block_rows(monkeypatch, rows, w_shape)
-    ks = w_shape[:-2]
-    padded_row = x_shape[-2] + ks[-1] - 1
-    m = (x_shape[0] - 1) * padded_row + x_shape[1] if len(x_shape) == 3 else x_shape[0]
+    m = x_shape[0]
     # Every case splits, but the 49-row conv1d under the 48-row budget: its
     # 1-row remainder joins the first block.
     assert len(ad._row_blocks(m, row_bytes)) > 1 or rows == 61 and m == 49
     rng = np.random.default_rng([rows, *x_shape, *w_shape])
     x, w = rng.uniform(-2, 2, x_shape), rng.uniform(-2, 2, w_shape)
-    op = ad.conv1d if len(x_shape) == 2 else ad.conv2d
-    out = op(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
+    out = ad.conv1d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
     want, *want_vjps = reference_correlate(x, w)
     assert out.data.tobytes() == want.tobytes()
     g = rng.uniform(-2, 2, want.shape)
@@ -307,31 +302,33 @@ def test_batched_correlation_bytes_do_not_depend_on_row_blocks(monkeypatch, rows
 
 
 def test_map_conv_forward_transient_stays_within_block_budget():
-    # Default map conv under no_grad: the padded input, the output rows and
-    # at most two block budgets. One full-height scratch (1.3 MB) does not fit.
+    # The map conv at T = 512 under no_grad: the padded input, the output
+    # rows and one block's scratch, 208 rows (160 KB), which is less than
+    # half the budget. One full-height scratch (393 KB) does not fit.
     rng = np.random.default_rng(19)
-    x, w = Tensor(rng.uniform(-2, 2, (40, 128, 33))), Tensor(rng.uniform(-2, 2, (3, 3, 33, 32)))
-    padded_input, output_rows = 42 * 130 * 33 * 8, 40 * 130 * 32 * 8
+    x, w = Tensor(rng.uniform(-2, 2, (512, 33))), Tensor(rng.uniform(-2, 2, (3, 33, 96)))
+    padded_input, output_rows = 514 * 33 * 8, 512 * 96 * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with ad.no_grad():
-            out = ad.conv2d(x, w)
+            out = ad.conv1d(x, w)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert out.shape == (40, 128, 32)
-    assert peak < padded_input + output_rows + 2 * ad._BLOCK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+    assert out.shape == (512, 96)
+    assert peak < padded_input + output_rows + ad._BLOCK_BYTES // 2, f"peak {peak / 2**10:.0f} KiB"
 
 
-# [L, L] x [T, D]: default, small config, T=512 / L=60, a tiny case, and
-# clips shorter than L (the default L = 40 at T = 32, and two tiny ones).
+# One tap, [1, L, L] x [T, D], gives the bytes of the single-kernel
+# product: default, small config, T=512 / L=60, a tiny case, and clips
+# shorter than L (the default L = 40 at T = 32, and two tiny ones).
 @pytest.mark.parametrize("l,t,d", [(40, 128, 33), (12, 64, 9), (60, 512, 33), (4, 16, 5),
                                    (40, 32, 33), (6, 4, 3), (9, 2, 2)])
 def test_banded_matmul_bytes_match_sliding_window_reference(l, t, d):
     rng = np.random.default_rng([l, t, d])
     kernel, x = rng.uniform(-2, 2, (l, l)), rng.uniform(-2, 2, (t, d))
-    out = ad.banded_matmul(Tensor(kernel, requires_grad=True), Tensor(x, requires_grad=True))
+    out = ad.banded_matmul(Tensor(kernel[None], requires_grad=True), Tensor(x, requires_grad=True))
     want, *want_vjps = reference_banded_matmul(kernel, x)
     assert out.shape == want.shape
     assert out.data.tobytes() == want.tobytes()
@@ -400,9 +397,8 @@ def test_batch_element_reads_one_element_and_adds_exactly():
 
 
 def test_batch_axis_is_marked_not_inferred():
-    # A 3-d conv2d input and a [L, T, C] + [C] bias add are spatial, not batched.
-    x, w = rand(2, 6, 4), rand(3, 3, 4, 2)
-    assert ad.conv2d(Tensor(x), Tensor(w)).shape == (2, 6, 2)
+    # A [L, T, C] + [C] bias add is spatial, not batched.
+    x = rand(2, 6, 4)
     b = Tensor(np.zeros(4), requires_grad=True)
     ad.mean(ad.add(Tensor(x), b)).backward()  # one reduction over both leading axes
     assert b.grad.tobytes() == np.full(x.shape, 1.0 / x.size).sum(axis=(0, 1)).tobytes()
@@ -454,6 +450,11 @@ def _positive(x):
     return ad.add(ad.mul(x, x), Tensor(np.full(x.shape, 0.5)))
 
 
+def _bands(a):
+    """Fixed random bands for folded_conv2d: one [4, 4] band per duration tap."""
+    return Tensor(rand(a, 4, 4))
+
+
 OP_CASES = {
     "add": lambda c=None: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.add(x, c))), (4, 4)),
     "add_bias_broadcast": lambda: ((lambda x, c=Tensor(rand(5, 4)): _sq_mean(ad.add(c, x))), (4,)),
@@ -463,14 +464,16 @@ OP_CASES = {
     "matmul_right": lambda: ((lambda x, c=Tensor(rand(3, 4)): _sq_mean(ad.matmul(c, x))), (4, 4)),
     "conv1d_x": lambda: ((lambda x, c=Tensor(rand(3, 4, 2)): _sq_mean(ad.conv1d(x, c))), (6, 4)),
     "conv1d_w": lambda: ((lambda w, c=Tensor(rand(6, 4)): _sq_mean(ad.conv1d(c, w))), (3, 4, 2)),
-    "conv2d_x": lambda: ((lambda x, c=Tensor(rand(3, 3, 3, 2)): _sq_mean(ad.conv2d(x, c))), (4, 5, 3)),
-    "conv2d_w": lambda: ((lambda w, c=Tensor(rand(4, 5, 3)): _sq_mean(ad.conv2d(c, w))), (3, 3, 3, 2)),
+    # The map head's 2-d conv, folded into the band (model.folded_conv2d):
+    # 3x3, 3x1 and 1x3 kernels, one [L, L] band per duration tap, L < T.
+    "conv2d_x": lambda: ((lambda x, c=Tensor(rand(3, 3, 3, 2)), k=_bands(3): _sq_mean(folded_conv2d(k, x, c))), (5, 3)),
+    "conv2d_w": lambda: ((lambda w, c=Tensor(rand(5, 3)), k=_bands(3): _sq_mean(folded_conv2d(k, c, w))), (3, 3, 3, 2)),
     "conv1d_x_pointwise": lambda: ((lambda x, c=Tensor(rand(1, 4, 3)): _sq_mean(ad.conv1d(x, c))), (6, 4)),
     "conv1d_w_pointwise": lambda: ((lambda w, c=Tensor(rand(6, 4)): _sq_mean(ad.conv1d(c, w))), (1, 4, 3)),
-    "conv2d_x_3x1": lambda: ((lambda x, c=Tensor(rand(3, 1, 3, 2)): _sq_mean(ad.conv2d(x, c))), (4, 5, 3)),
-    "conv2d_w_3x1": lambda: ((lambda w, c=Tensor(rand(4, 5, 3)): _sq_mean(ad.conv2d(c, w))), (3, 1, 3, 2)),
-    "conv2d_x_1x3": lambda: ((lambda x, c=Tensor(rand(1, 3, 3, 2)): _sq_mean(ad.conv2d(x, c))), (4, 5, 3)),
-    "conv2d_w_1x3": lambda: ((lambda w, c=Tensor(rand(4, 5, 3)): _sq_mean(ad.conv2d(c, w))), (1, 3, 3, 2)),
+    "conv2d_x_3x1": lambda: ((lambda x, c=Tensor(rand(3, 1, 3, 2)), k=_bands(3): _sq_mean(folded_conv2d(k, x, c))), (5, 3)),
+    "conv2d_w_3x1": lambda: ((lambda w, c=Tensor(rand(5, 3)), k=_bands(3): _sq_mean(folded_conv2d(k, c, w))), (3, 1, 3, 2)),
+    "conv2d_x_1x3": lambda: ((lambda x, c=Tensor(rand(1, 3, 3, 2)), k=_bands(1): _sq_mean(folded_conv2d(k, x, c))), (5, 3)),
+    "conv2d_w_1x3": lambda: ((lambda w, c=Tensor(rand(5, 3)), k=_bands(1): _sq_mean(folded_conv2d(k, c, w))), (1, 3, 3, 2)),
     "sigmoid": lambda: ((lambda x: _sq_mean(ad.sigmoid(x))), (4, 4)),
     "relu": lambda: ((lambda x: _sq_mean(ad.relu(x))), (4, 4)),
     "softmax": lambda: ((lambda x: _sq_mean(ad.softmax(x, axis=1))), (4, 4)),
@@ -480,17 +483,24 @@ OP_CASES = {
     "upsample1d": lambda: ((lambda x: _sq_mean(ad.upsample1d(x))), (4, 3)),
     "concat": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.concat([x, c], axis=1))), (4, 4)),
     "transpose": lambda: ((lambda x: _sq_mean(ad.transpose(x))), (4, 4)),
+    "transpose_axes": lambda: ((lambda x, c=Tensor(rand(3, 2, 2, 4)): _sq_mean(
+        ad.mul(ad.transpose(x, (1, 2, 0, 3)), c))), (2, 3, 2, 4)),
     "reshape": lambda: ((lambda x: _sq_mean(ad.reshape(x, (16,)))), (4, 4)),
     "flip": lambda: ((lambda x: _sq_mean(ad.flip(x, axis=0))), (4, 4)),
     "log": lambda: ((lambda x: _sq_mean(ad.log(_positive(x)))), (4, 4)),
     "sqrt": lambda: ((lambda x: _sq_mean(ad.sqrt(_positive(x)))), (4, 4)),
     "pow_const": lambda: ((lambda x: _sq_mean(ad.pow_const(_positive(x), 1.7))), (4, 4)),
-    "banded_matmul_kernel": lambda: ((lambda k, c=Tensor(rand(5, 2)): _sq_mean(ad.banded_matmul(k, c))), (3, 3)),
-    "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
-    "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (4, 4)),
-    "banded_matmul_x_square": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
-    "banded_matmul_kernel_long": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (6, 6)),
-    "banded_matmul_x_long": lambda: ((lambda x, c=Tensor(rand(6, 6)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
+    "banded_matmul_kernel": lambda: ((lambda k, c=Tensor(rand(5, 2)): _sq_mean(ad.banded_matmul(k, c))), (1, 3, 3)),
+    "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(1, 3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
+    "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (1, 4, 4)),
+    "banded_matmul_x_square": lambda: ((lambda x, c=Tensor(rand(1, 4, 4)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
+    "banded_matmul_kernel_long": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (1, 6, 6)),
+    "banded_matmul_x_long": lambda: ((lambda x, c=Tensor(rand(1, 6, 6)): _sq_mean(ad.banded_matmul(c, x))), (4, 2)),
+    # Three taps, as the map head uses them; L < T and L > T.
+    "banded_matmul_kernel_taps": lambda: ((lambda k, c=Tensor(rand(5, 6)): _sq_mean(ad.banded_matmul(k, c))), (3, 3, 3)),
+    "banded_matmul_x_taps": lambda: ((lambda x, c=Tensor(rand(3, 3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 6)),
+    "banded_matmul_kernel_taps_long": lambda: ((lambda k, c=Tensor(rand(4, 6)): _sq_mean(ad.banded_matmul(k, c))), (3, 6, 6)),
+    "banded_matmul_x_taps_long": lambda: ((lambda x, c=Tensor(rand(3, 6, 6)): _sq_mean(ad.banded_matmul(c, x))), (4, 6)),
     # Batched forms: a leading batch axis of 2.
     "conv1d_x_batched": lambda: ((lambda x, c=Tensor(rand(3, 4, 2)): _sq_mean(ad.conv1d(x, c))), (2, 6, 4)),
     "conv1d_w_batched": lambda: ((lambda w, c=Tensor(rand(2, 6, 4)): _sq_mean(ad.conv1d(c, w))), (3, 4, 2)),

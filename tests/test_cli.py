@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from avloc import autodiff as ad
 from avloc.cli import main
 from avloc.config import run_config_from_dict
-from avloc.data import FeatureStream, StreamAnnotation, save_dataset
+from avloc.data import FeatureStream, StreamAnnotation, load_dataset, save_dataset
 from avloc.model import Model, save_checkpoint
 from oracles import append_checkpoint_record
 
@@ -286,6 +287,24 @@ def test_clip_length_not_a_multiple_of_4_exits_2(config_path, tmp_path, capsys):
     assert "stream has 18 frames, not a multiple of 4" in err
     assert "Traceback" not in err
     assert not preds.exists()
+
+
+def test_bad_clip_length_stops_training_before_the_first_step(dataset, config_path, tmp_path,
+                                                             capsys, monkeypatch):
+    # An 18-frame clip last in the val split: training stops before any
+    # clip runs, and the error names the split and the clip.
+    stream = FeatureStream(audio=np.zeros((18, 4)), visual=np.zeros((18, 4)))
+    val = load_dataset(dataset / "val")
+    save_dataset(dataset / "val", val + [(stream, StreamAnnotation(id="odd-0", num_frames=18))])
+    steps = []
+    monkeypatch.setattr(sys.modules["avloc.train"], "clip_losses", lambda *a: steps.append(a))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path, "--data", str(dataset),
+                 "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "error: val: clip 'odd-0': stream has 18 frames, not a multiple of 4" in err
+    assert "Traceback" not in err
+    assert not steps and not ckpt.exists()
 
 
 def test_non_finite_checkpoint_exits_2(dataset, config_path, tmp_path, capsys):

@@ -81,21 +81,21 @@ def test_init_is_deterministic_and_bounded():
 # -- sampling mask ----------------------------------------------------------
 
 def test_mask_rows_sum_to_one_in_range():
-    kernel = build_sampling_mask(4, 5).kernel  # [N, L, L]
+    kernel = build_sampling_mask(4, 5).taps[:, 1]  # [N, L, L]
     np.testing.assert_allclose(kernel.sum(axis=2), 1.0, atol=1e-12)
     assert np.all(kernel >= 0.0)
     # Offsets past the candidate's last frame carry no weight.
     assert np.all(np.triu(kernel, k=1) == 0.0)
     # Applied at every start, in-range rows still sum to one and
     # candidates past the last frame are all-zero.
-    grid = ad.banded_matmul(Tensor(kernel[2]), Tensor(np.ones((12, 1)))).data[:, :, 0]
+    grid = ad.banded_matmul(Tensor(kernel[2:3]), Tensor(np.ones((12, 1)))).data[:, :, 0]
     valid = in_range_mask(4, 12)
     np.testing.assert_allclose(grid[valid], 1.0, atol=1e-12)
     assert np.all(grid[~valid] == 0.0)
 
 
 def test_mask_duration_one_is_point_sample():
-    kernel = build_sampling_mask(3, 4).kernel
+    kernel = build_sampling_mask(3, 4).taps[:, 1]
     for n in range(4):
         row = kernel[n, 0]
         assert row[0] == 1.0 and row.sum() == 1.0
@@ -103,15 +103,26 @@ def test_mask_duration_one_is_point_sample():
 
 def test_mask_two_samples_hit_span_endpoints():
     # Duration index 3 spans offsets 0..3: samples at offsets 0.0 and 3.0.
-    kernel = build_sampling_mask(4, 2).kernel
+    kernel = build_sampling_mask(4, 2).taps[:, 1]
     first, last = kernel[0, 3], kernel[1, 3]
     assert first[0] == 1.0 and first.sum() == 1.0
     assert last[3] == 1.0 and last.sum() == 1.0
 
 
+def test_mask_taps_are_the_kernel_row_shifted():
+    # The map conv's duration tap a reads row i + a - 1, zero outside [0, L).
+    taps = build_sampling_mask(5, 4).taps
+    assert taps.shape == (4, 3, 5, 5)
+    for a in range(3):
+        for i in range(5):
+            src = i + a - 1
+            want = taps[:, 1, src] if 0 <= src < 5 else np.zeros((4, 5))
+            assert np.array_equal(taps[:, a, i], want), (a, i)
+
+
 def test_mask_matches_dense_oracle():
     for l, t, n in [(3, 6, 4), (4, 12, 5), (12, 64, 4), (40, 128, 16)]:
-        kernel = build_sampling_mask(l, n).kernel
+        kernel = build_sampling_mask(l, n).taps[:, 1]
         dense = np.zeros((n, l, t, t))  # dense[n, i, j, j + k] = kernel[n, i, k]
         for i in range(l):
             for j in range(t - i):
@@ -167,15 +178,33 @@ SMALL = ModelConfig(num_frames=64, d_audio=8, d_visual=8, channels=8,
 
 
 def _dense_boundary_map_head(model, fused):
-    """The boundary-map head with sampling as one dense [L*T, T] matmul."""
+    """The boundary-map head by the fold's definition, with dense matrices.
+
+    With S[i', j] the [T] row of sampling weights of candidate (duration
+    index i', start j), frames past the clip dropped, and S zero for i'
+    outside [0, L): grid[i, j] = sum over duration taps a and time taps b of
+    S[i + a - 1, j] @ shift_b(x) @ conv_w[a, b], where shift_b(x)[s] =
+    x[s + b - 1] (zero outside the clip), and grid is zero where j + i >= T.
+    """
     cfg, p = model.cfg, model.params
-    l, t, n = cfg.max_duration, cfg.num_frames, cfg.num_samples
-    dense = brute_force_sampling_mask(l, t, n).reshape(n, l * t, t)
+    l, t, n, c = cfg.max_duration, fused.shape[0], cfg.num_samples, cfg.channels
+    # Every candidate of a clip L frames longer, cut to the first T starts and frames.
+    full = brute_force_sampling_mask(l, t + l, n)[:, :, :t, :t]  # [N, L, T, T]
+    dense = np.zeros((n, 3, l, t, t))
+    dense[:, 0, 1:], dense[:, 1], dense[:, 2, :-1] = full[:, :-1], full, full[:, 1:]
+    dense *= in_range_mask(l, t)[:, :, None]
     weights = ad.reshape(p["map_head.sample_w"], (1, n))
-    combined = ad.reshape(ad.matmul(weights, Tensor(dense.reshape(n, l * t * t))), (l * t, t))
-    grid = ad.reshape(ad.matmul(combined, fused), (l, t, cfg.fused_channels))
-    hidden = ad.relu(ad.add(ad.conv2d(grid, p["map_head.conv_w"]), p["map_head.conv_b"]))
-    flat = ad.reshape(hidden, (l * t, cfg.channels))
+    combined = ad.reshape(ad.matmul(weights, Tensor(dense.reshape(n, -1))), (3, l * t, t))
+    grid = None
+    for a in range(3):
+        w_a = ad.batch_element(p["map_head.conv_w"], a)
+        for b in range(3):
+            shifted = ad.matmul(Tensor(np.eye(t, k=b - 1)), fused)
+            term = ad.matmul(ad.batch_element(combined, a),
+                             ad.matmul(shifted, ad.batch_element(w_a, b)))
+            grid = term if grid is None else ad.add(grid, term)
+    hidden = ad.relu(ad.add(ad.reshape(grid, (l, t, c)), p["map_head.conv_b"]))
+    flat = ad.reshape(hidden, (l * t, c))
     out = ad.sigmoid(ad.add(ad.matmul(flat, p["map_head.out_w"]), p["map_head.out_b"]))
     return ad.reshape(out, (l, t))
 
@@ -191,7 +220,8 @@ def test_map_head_matches_dense_mask_oracle(cfg):
         fused = Tensor(fused_data, requires_grad=True)
         out = head(fused)
         ad.mean(ad.mul(out, out)).backward()
-        results.append((out.data, fused.grad, model.params["map_head.sample_w"].grad))
+        results.append((out.data, fused.grad, model.params["map_head.sample_w"].grad,
+                        model.params["map_head.conv_w"].grad))
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -199,7 +229,7 @@ def test_map_head_matches_dense_mask_oracle(cfg):
 def test_full_scale_config_builds_and_runs():
     cfg = ModelConfig(num_frames=512, max_duration=60, num_samples=16)
     model = Model(cfg, seed=0)
-    assert model.mask.kernel.nbytes == 460_800
+    assert model.mask.taps.nbytes == 1_382_400  # [16, 3, 60, 60], whatever T is
     fused = Tensor(np.random.default_rng(0).normal(size=(512, cfg.fused_channels)))
     bmap = model.boundary_map_head(fused)
     assert bmap.shape == (60, 512)
@@ -323,12 +353,12 @@ def _recorded_ops(loss):
 
 
 def test_small_clip_step_op_count():
-    # One stacked pair from the encoder to the losses: 106 recorded ops per
+    # One stacked pair from the encoder to the losses: 110 recorded ops per
     # clip on the criterion-8 small config.
     clip = _clip_for(SMALL)
     losses = clip_losses(Model(SMALL, seed=0), clip, build_targets(clip[1], SMALL.max_duration, 1.0),
                          LossConfig())
-    assert _recorded_ops(losses.total) == 106
+    assert _recorded_ops(losses.total) == 110
 
 
 def _op_calls(monkeypatch):
@@ -346,7 +376,7 @@ def _op_calls(monkeypatch):
 
 
 def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
-    # Every op call of a training clip-step records a graph node: 106 calls on
+    # Every op call of a training clip-step records a graph node: 110 calls on
     # the small config. The boundary-map loss negates its constant target in
     # numpy instead of through an untracked scalar_mul op call.
     clip = _clip_for(SMALL)
@@ -354,18 +384,18 @@ def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
     targets = build_targets(clip[1], SMALL.max_duration, 1.0)
     tracked = _op_calls(monkeypatch)
     clip_losses(model, clip, targets, LossConfig())
-    assert len(tracked) == 106
+    assert len(tracked) == 110
     assert all(tracked)
 
 
 def test_small_inference_clip_op_calls_are_untracked(monkeypatch):
-    # predict_clip's forward records no graph: 63 op calls on the small
+    # predict_clip's forward records no graph: 67 op calls on the small
     # config, none tracked.
     clip = _clip_for(SMALL)
     model = Model(SMALL, seed=0)
     tracked = _op_calls(monkeypatch)
     predict_clip(model, clip, InferenceConfig())
-    assert len(tracked) == 63
+    assert len(tracked) == 67
     assert not any(tracked)
 
 
