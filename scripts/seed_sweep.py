@@ -15,13 +15,21 @@ The working tree's `src/` is swept as "change". With `--against REV`, the
 and swept too, as "parent"; the two trees' runs of one seed are queued next
 to each other, so they run side by side.
 
-Usage: python scripts/seed_sweep.py --out QUALITY.json [--against REV]
+With `--variant module:name`, the change runs a variant of the model with
+no edit to `src/`: `name` in `module` is either a mapping of `Model`
+method names to functions, which replace those methods, or a `Model`
+subclass, which every avloc module then uses in place of `Model`. The
+module is imported from the directory the script runs in or from
+PYTHONPATH, after the swept tree's `avloc`. The record names the variant.
+
+Usage: python scripts/seed_sweep.py --out QUALITY.json [--against REV] [--variant MODULE:NAME]
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import statistics
@@ -29,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,6 +46,29 @@ SEEDS = (1, 2, 3, 4, 42)
 JOBS = 2  # processes at a time, one per core of a 2-vCPU host
 FUSIONS = ("both", "forward")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def apply_variant(spec: str) -> None:
+    """Put the variant `module:name` in place of avloc's Model, in this process."""
+    from avloc.model import Model
+
+    module_name, sep, attr = spec.partition(":")
+    if not (module_name and sep and attr):
+        raise ValueError(f"--variant: expected MODULE:NAME, got {spec!r}")
+    variant = getattr(importlib.import_module(module_name), attr)
+    if isinstance(variant, type) and issubclass(variant, Model):
+        for name, module in list(sys.modules.items()):
+            if (name == "avloc" or name.startswith("avloc.")) and vars(module).get("Model") is Model:
+                module.Model = variant
+    elif isinstance(variant, Mapping):
+        unknown = sorted(set(variant) - set(dir(Model)))
+        if unknown:
+            raise ValueError(f"--variant {spec}: Model has no methods {unknown}")
+        for name, fn in variant.items():
+            setattr(Model, name, fn)
+    else:
+        raise ValueError(f"--variant {spec}: expected a Model subclass or a mapping of "
+                         f"Model methods, got {type(variant).__name__}")
 
 
 def run_seed(work: Path, seed: int) -> dict:
@@ -89,11 +121,13 @@ def _digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def _spawn(src: Path, work: Path, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
-    done = subprocess.run(
-        [sys.executable, __file__, "--worker", str(work), str(seed)],
-        env=env, capture_output=True, text=True)
+def _spawn(src: Path, work: Path, seed: int, variant: str | None) -> dict:
+    path = os.pathsep.join(filter(None, [str(src), os.getcwd(), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_VARS})
+    argv = [sys.executable, __file__, "--worker", str(work), str(seed)]
+    if variant:
+        argv += ["--variant", variant]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"seed {seed} in {work} failed:\n{done.stderr[-2000:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -115,26 +149,39 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, help="record to write (JSON)")
     parser.add_argument("--against", metavar="REV", help="also sweep this commit's src/")
+    parser.add_argument("--variant", metavar="MODULE:NAME",
+                        help="sweep the change with this Model subclass or method mapping")
     parser.add_argument("--worker", nargs=2, metavar=("WORKDIR", "SEED"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
+        if args.variant:
+            apply_variant(args.variant)
         print(json.dumps(run_seed(Path(args.worker[0]), int(args.worker[1]))))
         return 0
     if args.out is None:
         parser.error("--out is required")
+    if args.variant:  # fail here, not in every worker
+        sys.path[:0] = [str(REPO / "src"), os.getcwd()]
+        try:
+            apply_variant(args.variant)
+        except (ImportError, AttributeError, ValueError) as exc:
+            parser.error(str(exc))
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trees = {"change": (REPO / "src", {"commit": _git("rev-parse", "HEAD"),
-                                            "dirty": bool(_git("status", "--porcelain", "src"))})}
+                                            "dirty": bool(_git("status", "--porcelain", "src")),
+                                            "variant": args.variant})}
         if args.against:
             commit = _export(args.against, work / "parent")
-            trees["parent"] = (work / "parent" / "src", {"commit": commit, "dirty": False})
+            trees["parent"] = (work / "parent" / "src",
+                               {"commit": commit, "dirty": False, "variant": None})
         digests = {label: _digest(src) for label, (src, _) in trees.items()}
         jobs = [(label, seed) for seed in SEEDS for label in trees]
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             futures = {job: pool.submit(_spawn, trees[job[0]][0],
-                                        work / f"{job[0]}-seed{job[1]}", job[1])
+                                        work / f"{job[0]}-seed{job[1]}", job[1],
+                                        trees[job[0]][1]["variant"])
                        for job in jobs}
             results = {job: future.result() for job, future in futures.items()}
 

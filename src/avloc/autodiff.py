@@ -26,6 +26,10 @@ Row blocks. conv1d's forward runs every kernel offset over one block of
 output rows, within _BLOCK_BYTES (384 KiB), before the next block, so the
 block stays in cache; blocks are 16-row aligned (_BLOCK_ALIGN), so the
 outputs do not depend on the budget. Every conv1d at T = 128 is one block.
+banded_matmul's forward runs one GEMM per start over zero-copy windows of
+its padded input, in 16-row blocks of duration rows that each stop at the
+block's last nonzero kernel column, so most of a banded kernel's zero
+triangle is skipped.
 
 Batch axis. conv1d, matmul, transpose, max_pool1d and upsample1d take an
 optional leading batch axis, fixed by rank: [B, T, C] where the unbatched
@@ -435,13 +439,20 @@ _BLOCK_ALIGN = 16
 def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
     """[lo, hi) blocks covering m rows of row_bytes each, within _BLOCK_BYTES.
 
-    Every block starts at a multiple of _BLOCK_ALIGN and is a multiple of it
-    long, at least one, except the last, which also takes a remainder
-    shorter than _BLOCK_ALIGN. So every row falls at the same place in a
-    full tile, or in the tail, as it does in one m-row call; m rows within
-    the budget are that one call.
+    Every block is a multiple of _BLOCK_ALIGN rows long (_aligned_blocks);
+    m rows within the budget are one block.
     """
-    step = max(_BLOCK_ALIGN, _BLOCK_BYTES // row_bytes // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    return _aligned_blocks(m, max(_BLOCK_ALIGN,
+                                  _BLOCK_BYTES // row_bytes // _BLOCK_ALIGN * _BLOCK_ALIGN))
+
+
+def _aligned_blocks(m: int, step: int) -> list[tuple[int, int]]:
+    """[lo, hi) blocks of `step` rows, a multiple of _BLOCK_ALIGN, covering m rows.
+
+    Every block starts at a multiple of step, except that the last also
+    takes a remainder shorter than _BLOCK_ALIGN. So every row falls at the
+    same place in a full tile, or in the tail, as it does in one m-row call.
+    """
     bounds = list(range(0, m, step)) + [m]
     if len(bounds) > 2 and m - bounds[-2] < _BLOCK_ALIGN:
         del bounds[-2]
@@ -545,16 +556,6 @@ def batch_element(a: Tensor, i: int) -> Tensor:
     return _op(a.data[i], [(a, vjp)])
 
 
-def _offset_windows(x: Array, l: int) -> Array:
-    """[A*L, T*D] windows of an [A, T, D] array: windows[a*L + k, j*D + c] = x[a, j + k, c],
-    0 past the last frame."""
-    a, t, d = x.shape
-    windows = np.zeros((a, l, t, d))
-    for k in range(min(l, t)):
-        windows[:, k, :t - k] = x[:, k:]
-    return windows.reshape(a * l, t * d)
-
-
 def _zero_past_end(a: Array) -> Array:
     """Zero the cells [i, j] of an [L, T, D] array where j + i >= T, in place; returns `a`."""
     l, t = a.shape[:2]
@@ -569,23 +570,55 @@ def banded_matmul(kernel: Tensor, x: Tensor) -> Tensor:
     out[i, j] = sum_a sum_k kernel[a, i, k] * x_a[j + k] where j + i < T, and
     0 where j + i >= T, with x_a = x[:, a*D:(a+1)*D]; rows past the last frame
     read as zero. Each tap is the dense [L*T, T] matrix with entries
-    kernel[a, i, s - j], applied without building it: one [L, A*L] @
-    [A*L, T*D] matmul over the taps' stacked offset windows. The VJPs rebuild
-    the windows one tap at a time rather than keep them in the graph.
+    kernel[a, i, s - j], applied without building it.
+
+    The forward reads x zero-padded to [T + L - 1, A*D]: the L rows from row j
+    are start j's window, one contiguous [L*A, D] block in (k, a) order, so a
+    strided view gives every window without a copy. With the kernel laid out
+    to match, [L, L*A], one GEMM per start gives out[:, j]. The rows run in
+    blocks of _BLOCK_ALIGN (_aligned_blocks), and a block's GEMMs stop at its
+    last nonzero kernel column and skip the starts where none of its cells is
+    in range. The sampling kernels place every sample inside its candidate,
+    so this skips most of the zero triangle, while a dense kernel runs every
+    column. The skipped terms are exact zeros, so the bytes are those of
+    all-columns GEMMs per start; but as they are never computed, a NaN in x
+    reaches only the in-range cells of the row blocks whose columns run
+    over its frame, not every cell whose window spans it. train()'s
+    finite-loss guard still stops a run on the loss it reaches.
+
+    The VJPs rebuild each tap's [L, T*D] windows from the padded input, one
+    strided copy a tap, rather than keep them in the graph.
     """
     if (kernel.data.ndim != 3 or x.data.ndim != 2 or kernel.shape[1] != kernel.shape[2]
-            or x.shape[1] % kernel.shape[0]):
-        raise ShapeError(f"banded_matmul: expected [A,L,L] and [T,A*D], "
+            or not kernel.shape[0] or x.shape[1] % kernel.shape[0]):
+        raise ShapeError(f"banded_matmul: expected [A,L,L] with A >= 1 and [T,A*D], "
                          f"got {kernel.shape} and {x.shape}")
     a, l, _ = kernel.data.shape
     t, d = x.data.shape[0], x.data.shape[1] // a
-    taps = kernel.data.transpose(1, 0, 2).reshape(l, a * l)
-    x_taps = np.ascontiguousarray(x.data.reshape(t, a, d).transpose(1, 0, 2))
-    data = _zero_past_end((taps @ _offset_windows(x_taps, l)).reshape(l, t, d))
+    xp = np.zeros((t + l - 1, a * d))
+    xp[:t] = x.data
+    row, item = xp.strides
+    windows = np.lib.stride_tricks.as_strided(xp, (t, l * a, d), (row, d * item, item),
+                                              writeable=False)
+    taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0)).reshape(l, l * a)
+    data = np.zeros((l, t, d))
+    for lo, hi in _aligned_blocks(l, _BLOCK_ALIGN):
+        used = np.flatnonzero(taps[lo:hi].any(axis=0))
+        if used.size and lo < t:
+            cols, starts = used[-1] + 1, t - lo
+            np.matmul(taps[lo:hi, :cols], windows[:starts, :cols],
+                      out=data[lo:hi, :starts].transpose(1, 0, 2))
+    _zero_past_end(data)
+
+    def tap_windows(i: int) -> Array:
+        """[L, T*D]: row k is x_i from frame k on, zero past the last frame."""
+        view = np.lib.stride_tricks.as_strided(xp[:, i * d:], (l, t, d), (row, row, item),
+                                               writeable=False)
+        return np.ascontiguousarray(view).reshape(l, t * d)
 
     def vjp_kernel(g: Array) -> Array:
         gm = _zero_past_end(g.copy()).reshape(l, t * d)
-        return np.stack([gm @ _offset_windows(x_taps[i:i + 1], l).T for i in range(a)])
+        return np.stack([gm @ tap_windows(i).T for i in range(a)])
 
     def vjp_x(g: Array) -> Array:
         gm = _zero_past_end(g.copy()).reshape(l, t * d)

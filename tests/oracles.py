@@ -8,6 +8,8 @@ loop; `reference_correlate`, the per-offset patch-copy correlation behind
 conv1d; `reference_banded_matmul`, the padded sliding-window product of
 one offset kernel (banded_matmul's one-tap case); and
 `reference_max_pool1d`, the argmax pooling.
+`reference_banded_matmul_per_start` is banded_matmul's forward without
+its shortcuts: one all-columns GEMM per start.
 These ops return their output and VJP closures as plain arrays and
 functions instead of a Tensor. `reference_forward_full` is the earlier
 two-pass model forward, one encoder and frame-head pass per direction, its
@@ -308,6 +310,29 @@ def reference_banded_matmul(kernel: np.ndarray, x: np.ndarray):
         return gp[:t]
 
     return data, vjp_kernel, vjp_x
+
+
+def reference_banded_matmul_per_start(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[A, L, L] x [T, A*D] -> [L, T, D], one [L, L*A] @ [L*A, D] GEMM per start.
+
+    Start j's window is x's rows j to j + L - 1, zero past the last frame,
+    read in (frame offset k, tap a) order, and the kernel is laid out to
+    match; every column of every row runs. Cells past the clip end are
+    zeroed afterwards.
+    """
+    a, l, _ = kernel.shape
+    t, d = x.shape[0], x.shape[1] // a
+    xp = np.zeros((t + l - 1, a * d))
+    xp[:t] = x
+    taps = kernel.transpose(1, 2, 0).reshape(l, l * a)
+    out = np.zeros((l, t, d))
+    for j in range(t):
+        out[:, j] = taps @ xp[j:j + l].reshape(l * a, d)
+    for i in range(l):
+        for j in range(t):
+            if i + j >= t:
+                out[i, j] = 0.0
+    return out
 
 
 def reference_max_pool1d(x: np.ndarray):

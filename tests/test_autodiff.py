@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from avloc import autodiff as ad
 from avloc.autodiff import ShapeError, Tensor, grad_check
-from avloc.model import folded_conv2d
-from oracles import reference_banded_matmul, reference_correlate, reference_max_pool1d
+from avloc.model import build_sampling_mask, folded_conv2d
+from oracles import (
+    reference_banded_matmul,
+    reference_banded_matmul_per_start,
+    reference_correlate,
+    reference_max_pool1d,
+)
 
 RNG = np.random.default_rng(1234)
 GRAD_TOL = 1e-4
@@ -122,23 +127,25 @@ def test_forward_bit_identical():
     assert np.array_equal(a, b)
 
 
+# (bad operand, good operand). The last is a kernel with no taps.
 @pytest.mark.parametrize("op,shapes", [
-    ("add", ((3, 4), (3, 4))),
-    ("mul", ((3, 4), (3, 4))),
-    ("matmul", ((3, 4), (4, 2))),
-    ("concat", ((3, 2), (3, 3))),
-    ("banded_matmul", ((3, 3), (5, 2))),
+    ("add", ((2, 7), (3, 4))),
+    ("mul", ((2, 7), (3, 4))),
+    ("matmul", ((2, 7), (4, 2))),
+    ("concat", ((2, 7), (3, 3))),
+    ("banded_matmul", ((2, 7), (5, 2))),
+    ("banded_matmul", ((0, 3, 3), (5, 2))),
 ])
 def test_shape_errors_name_op_and_shapes(op, shapes):
-    bad = Tensor(rand(2, 7))
+    bad = Tensor(rand(*shapes[0]))
     good = Tensor(rand(*shapes[1]))
     fn = {"add": ad.add, "mul": ad.mul, "matmul": ad.matmul,
           "concat": lambda a, b: ad.concat([a, b], axis=0),
           "banded_matmul": ad.banded_matmul}[op]
     with pytest.raises(ShapeError) as err:
         fn(bad, good)
-    assert op in str(err.value)
-    assert "(2, 7)" in str(err.value)
+    message = str(err.value)
+    assert op in message and str(shapes[0]) in message and str(shapes[1]) in message
 
 
 @pytest.mark.parametrize("op,x_shape,w_shape", [
@@ -320,9 +327,12 @@ def test_map_conv_forward_transient_stays_within_block_budget():
     assert peak < padded_input + output_rows + ad._BLOCK_BYTES // 2, f"peak {peak / 2**10:.0f} KiB"
 
 
-# One tap, [1, L, L] x [T, D], gives the bytes of the single-kernel
+# One tap, [1, L, L] x [T, D], gives the VJP bytes of the single-kernel
 # product: default, small config, T=512 / L=60, a tiny case, and clips
-# shorter than L (the default L = 40 at T = 32, and two tiny ones).
+# shorter than L (the default L = 40 at T = 32, and two tiny ones). Its
+# forward runs one GEMM per start, which sums in another order than the
+# reference's one GEMM over all starts: the L >= 40 cases differ in the last
+# bits (up to 2.1e-14).
 @pytest.mark.parametrize("l,t,d", [(40, 128, 33), (12, 64, 9), (60, 512, 33), (4, 16, 5),
                                    (40, 32, 33), (6, 4, 3), (9, 2, 2)])
 def test_banded_matmul_bytes_match_sliding_window_reference(l, t, d):
@@ -331,10 +341,50 @@ def test_banded_matmul_bytes_match_sliding_window_reference(l, t, d):
     out = ad.banded_matmul(Tensor(kernel[None], requires_grad=True), Tensor(x, requires_grad=True))
     want, *want_vjps = reference_banded_matmul(kernel, x)
     assert out.shape == want.shape
-    assert out.data.tobytes() == want.tobytes()
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
     g = rng.uniform(-2, 2, want.shape)
     for (_, vjp), want_vjp in zip(out._parents, want_vjps, strict=True):
         assert vjp(g).tobytes() == want_vjp(g).tobytes()
+
+
+def _sampling_taps(l: int, seed: int) -> np.ndarray:
+    """The map head's [3, L, L] kernels: the sampling mask under random sample weights."""
+    taps = build_sampling_mask(l, 16).taps
+    return np.tensordot(np.random.default_rng(seed).uniform(-1, 1, 16), taps, axes=1)
+
+
+# Stopping each row block at its last nonzero column, and skipping the
+# starts where a block has no cell in range, gives the bytes of one
+# all-columns GEMM per start. (T, L, D): the default config, the small one,
+# full scale, L > T, an odd D, and an L that is not a multiple of 16.
+BAND_SHAPES = {
+    "default": (128, 40, 32),
+    "small": (64, 12, 8),
+    "full_scale": (512, 60, 32),
+    "l_past_t": (16, 40, 8),
+    "odd_width": (128, 40, 33),
+    "l37": (128, 37, 32),
+}
+
+
+@pytest.mark.parametrize("t,l,d", BAND_SHAPES.values(), ids=BAND_SHAPES)
+def test_banded_matmul_bytes_match_all_columns_per_start(t, l, d):
+    kernel = _sampling_taps(l, seed=l)
+    assert not np.triu(kernel[1], 1).any()  # the band: no sample past its candidate's end
+    x = np.random.default_rng([t, l, d]).uniform(-2, 2, (t, 3 * d))
+    out = ad.banded_matmul(Tensor(kernel), Tensor(x))
+    assert out.data.tobytes() == reference_banded_matmul_per_start(kernel, x).tobytes()
+
+
+@pytest.mark.parametrize("zero_rows", [40, 16], ids=["all_zero", "first_block_zero"])
+def test_banded_matmul_zero_row_blocks_match_all_columns_per_start(zero_rows):
+    kernel = _sampling_taps(40, seed=7)
+    kernel[:, :zero_rows] = 0.0
+    x = np.random.default_rng(zero_rows).uniform(-2, 2, (128, 96))
+    out = ad.banded_matmul(Tensor(kernel), Tensor(x))
+    want = reference_banded_matmul_per_start(kernel, x)
+    assert out.data.tobytes() == want.tobytes()
+    assert not out.data[:zero_rows].any()
 
 
 # Batched op vs the same op once per element: (batched op, unbatched op,

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -234,6 +235,26 @@ def test_full_scale_config_builds_and_runs():
     bmap = model.boundary_map_head(fused)
     assert bmap.shape == (60, 512)
     assert np.all(np.isfinite(bmap.data))
+
+
+def test_full_scale_map_head_transient_stays_within_grid_bytes():
+    # Under no_grad the map head holds a few [L, T, C] grids at once (the
+    # band's output, the biased grid, the relu), 7.5 MiB each at full scale;
+    # the band's own working set must stay small beside them.
+    cfg = ModelConfig(num_frames=512, max_duration=60, num_samples=16)
+    model = Model(cfg, seed=0)
+    fused = Tensor(np.random.default_rng(0).normal(size=(512, cfg.fused_channels)))
+    grid_bytes = 60 * 512 * cfg.channels * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.no_grad():
+            bmap = model.boundary_map_head(fused)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert bmap.shape == (60, 512)
+    assert peak < 3.5 * grid_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_frame_head_shapes_and_zero_head():
