@@ -8,12 +8,15 @@ processes run at a time, each with one BLAS thread. The record written to `--out
 per source tree, per seed and per fusion mode, AP@0.5/0.75/0.95 and
 AR@10/20/50, their medians over the seeds, the git commit (with whether the
 working tree's `src/` differs from it, and a digest of the `src/` that ran)
-and the seconds spent training.
+and the seconds spent training. Per seed it also holds the sha256 of the
+checkpoint and of each fusion mode's predictions file.
 
 The working tree's `src/` is swept as "change". With `--against REV`, the
 `src/` of commit REV is exported with `git archive` into the work directory
 and swept too, as "parent"; the two trees' runs of one seed are queued next
-to each other, so they run side by side.
+to each other, so they run side by side. The record's "same_bytes" then
+says, per seed, whether the change's checkpoint and predictions have the
+parent's digests, and the script prints whether they do at every seed.
 
 With `--variant module:name`, the change runs a variant of the model with
 no edit to `src/`: `name` in `module` is either a mapping of `Model`
@@ -45,6 +48,7 @@ REPO = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 42)
 JOBS = 2  # processes at a time, one per core of a 2-vCPU host
 FUSIONS = ("both", "forward")
+OUTPUTS = ("model.ckpt",) + tuple(f"preds_{fusion}.json" for fusion in FUSIONS)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -72,8 +76,9 @@ def apply_variant(spec: str) -> None:
 
 
 def run_seed(work: Path, seed: int) -> dict:
-    """The pipeline at one seed, in this process: AP/AR per fusion mode and
-    the training seconds. avloc is imported from sys.path as the caller set it."""
+    """The pipeline at one seed, in this process: AP/AR per fusion mode, the
+    training seconds and the sha256 of each file in OUTPUTS. avloc is
+    imported from sys.path as the caller set it."""
     from avloc.cli import main as cli
 
     def run(*argv):
@@ -95,7 +100,15 @@ def run_seed(work: Path, seed: int) -> dict:
         run("eval", "--pred", preds, "--data", work / "data" / "test", "--out", report)
         scores = json.loads(report.read_text())
         record[fusion] = {"ap": scores["ap"], "ar": scores["ar"]}
+    record["sha256"] = {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+                        for name in OUTPUTS}
     return record
+
+
+def same_bytes(runs: dict) -> dict[str, bool]:
+    """Per seed, whether the change's OUTPUTS digests equal the parent's."""
+    change, parent = runs["change"]["seeds"], runs["parent"]["seeds"]
+    return {seed: change[seed]["sha256"] == parent[seed]["sha256"] for seed in change}
 
 
 def _git(*args: str, cwd: Path = REPO) -> str:
@@ -199,11 +212,18 @@ def main() -> int:
         seeds = {str(seed): results[(label, seed)] for seed in SEEDS}
         record["runs"][label] = {**meta, "src_sha256": digests[label], "seeds": seeds,
                                  "median": _medians(seeds)}
+    if "parent" in trees:
+        record["same_bytes"] = same_bytes(record["runs"])
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     for label, run in record["runs"].items():
         both = run["median"]["both"]
         print(f"{label}: median AP@0.5 {both['ap']['0.5']:.4f}, AR@10 {both['ar']['10']:.4f}, "
               f"train {run['median']['train_s']:.0f} s")
+    if "same_bytes" in record:
+        differ = [seed for seed, same in record["same_bytes"].items() if not same]
+        print("checkpoint and predictions: "
+              + (f"differ from the parent's at seeds {', '.join(differ)}" if differ
+                 else "the parent's bytes at every seed"))
     return 0
 
 

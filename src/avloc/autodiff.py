@@ -432,7 +432,7 @@ _BLOCK_BYTES = 384 * 1024
 # numpy hands a 1-row product to gemv, which sums in another order, and
 # OpenBLAS computes the rows after a call's last full tile with tail
 # kernels that, for a narrow C_out, sum in another order too (seen for
-# C_out of 1 to 3 when a call's row count is not a multiple of 4).
+# C_out of 1 to 3 when a call's row count is 4k + 1, 4k + 2 or 4k + 3).
 _BLOCK_ALIGN = 16
 
 
@@ -514,28 +514,40 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
 
 def max_pool1d(x: Tensor) -> Tensor:
     """Width-2 stride-2 max pooling along the time axis of [T, C] or batched [B, T, C];
-    ties go to the lower index."""
-    if x.data.ndim not in (2, 3) or x.data.shape[-2] % 2 != 0:
-        raise ShapeError(f"max_pool1d: need [T,C] or [B,T,C] with even T, got shape {x.shape}")
+    ties go to the lower index. An odd last frame is paired with itself (ceil mode)."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"max_pool1d: expected [T,C] or [B,T,C], got shape {x.shape}")
+    t = x.data.shape[-2]
     even, odd = x.data[..., 0::2, :], x.data[..., 1::2, :]
+    if t % 2:
+        odd = np.concatenate([odd, even[..., -1:, :]], axis=-2)
     first = even >= odd
     data = np.where(first, even, odd)
 
     def vjp(g: Array) -> Array:
         gp = np.empty_like(x.data)
         gp[..., 0::2, :] = np.where(first, g, 0.0)
-        gp[..., 1::2, :] = np.where(first, 0.0, g)
+        gp[..., 1::2, :] = np.where(first, 0.0, g)[..., :t // 2, :]
         return gp
 
     return _op(data, [(x, vjp)])
 
 
-def upsample1d(x: Tensor) -> Tensor:
-    """Nearest-neighbour factor-2 upsampling along the time axis of [T, C] or batched [B, T, C]."""
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"upsample1d: expected [T,C] or [B,T,C], got shape {x.shape}")
-    data = np.repeat(x.data, 2, axis=-2)
-    return _op(data, [(x, lambda g: g[..., 0::2, :] + g[..., 1::2, :])])
+def upsample1d(x: Tensor, length: int) -> Tensor:
+    """Nearest-neighbour factor-2 upsampling along the time axis of [T, C] or batched
+    [B, T, C], cropped to `length`, 2T - 1 or 2T: the length of the skip it joins."""
+    if x.data.ndim not in (2, 3) or length not in (2 * x.shape[-2] - 1, 2 * x.shape[-2]):
+        raise ShapeError(f"upsample1d: need [T,C] or [B,T,C] and a length of 2T - 1 or 2T, "
+                         f"got shape {x.shape} and length {length}")
+    data = np.repeat(x.data, 2, axis=-2)[..., :length, :]
+
+    def vjp(g: Array) -> Array:
+        gx, n = np.empty_like(x.data), length // 2  # n frames keep both copies
+        np.add(g[..., 0:2 * n:2, :], g[..., 1::2, :], out=gx[..., :n, :])
+        gx[..., n:, :] = g[..., 2 * n:, :]
+        return gx
+
+    return _op(data, [(x, vjp)])
 
 
 def batch_element(a: Tensor, i: int) -> Tensor:

@@ -28,7 +28,7 @@ from .gradcheck import TINY_MODEL, model_grad_errors
 from .inference import predictions_from_json, predictions_to_json
 from .labels import labels_to_dict
 from .losses import LossConfig
-from .model import CheckpointError, Model, check_clip_lengths, load_checkpoint, save_checkpoint
+from .model import CheckpointError, Model, load_checkpoint, save_checkpoint
 from .pipeline import TIMING_STAGES, ground_truth_segments, predict_dataset
 from .train import train
 
@@ -129,7 +129,6 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     model = load_checkpoint(Path(args.checkpoint), cfg.model)
     clips = load_dataset(Path(args.data))
-    check_clip_lengths(clips, args.data)
     timing = {} if args.timing else None
     preds = predict_dataset(model, clips, cfg.infer, fusion=args.fusion, timing=timing)
     payload = [predictions_to_json(clip_id, preds[clip_id]) for clip_id in sorted(preds)]

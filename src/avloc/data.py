@@ -155,8 +155,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("synth.count: must be >= 0")
-        if self.num_frames <= 0 or self.num_frames % 4 != 0:
-            raise ValueError("synth.num_frames: must be positive and divisible by 4")
+        if self.num_frames <= 0:
+            raise ValueError("synth.num_frames: must be positive")
         if self.d_audio <= 0 or self.d_visual <= 0:
             raise ValueError("synth.d_audio/d_visual: must be positive")
         if not (0 <= self.min_segments <= self.max_segments):

@@ -12,8 +12,8 @@ with a frame classifier, then two heads on the fused per-frame features:
   tensor of per-frame probabilities, columns start / end / content.
 
 No parameter or buffer depends on the clip length T, which is read from
-each clip: one model serves any T that is a multiple of 4 (the U-Net's two
-pool stages), T < L included. `ModelConfig.num_frames` is not read here.
+each clip: one model serves any T >= 1, T < L included (the U-Net pools an
+odd T in ceil mode). `ModelConfig.num_frames` is not read here.
 
 The encoder, the fusion and the frame head run once per clip on a stacked
 pair: the forward stream and the time-reversed stream, as element 0 and 1
@@ -59,8 +59,8 @@ class ModelConfig:
             raise ValueError("model.d_audio/d_visual: must be positive")
         if self.channels <= 0:
             raise ValueError("model.channels: must be positive")
-        if not (1 <= self.max_duration <= self.num_frames):
-            raise ValueError("model.max_duration: must be in [1, num_frames]")
+        if self.max_duration < 1:
+            raise ValueError("model.max_duration: must be >= 1")
         if self.num_samples < 2:
             raise ValueError("model.num_samples: must be >= 2")
 
@@ -110,18 +110,6 @@ def build_sampling_mask(max_duration: int, num_samples: int) -> BMSamplingMask:
     kernel[m[split], i[split], base[split] + 1] = frac[split]
     taps[:, 0, 1:], taps[:, 2, :-1] = kernel[:, :-1], kernel[:, 1:]
     return BMSamplingMask(taps=taps)
-
-
-def check_frame_count(num_frames: int, where: str = "") -> None:
-    """The frame head's two pool stages need a clip length that is a multiple of 4."""
-    if num_frames % 4 != 0:
-        raise ValueError(f"{where}stream has {num_frames} frames, not a multiple of 4")
-
-
-def check_clip_lengths(clips, split: str) -> None:
-    """check_frame_count on every clip of a split, naming the split and the clip."""
-    for stream, ann in clips:
-        check_frame_count(stream.num_frames, f"{split}: clip {ann.id!r}: ")
 
 
 # Parameter table: name -> shape builder. Order is fixed so that seeded
@@ -257,7 +245,10 @@ class Model:
 
     def encode_and_fuse(self, stream: FeatureStream) -> EncodeOutput:
         """Encode and fuse the forward and the time-reversed stream as one stacked pair."""
-        check_frame_count(stream.num_frames)
+        for name, feats in (("d_audio", stream.audio), ("d_visual", stream.visual)):
+            if feats.shape[1] != getattr(self.cfg, name):
+                raise ValueError(f"stream has {feats.shape[1]}-wide {name[2:]} features, "
+                                 f"but model.{name} is {getattr(self.cfg, name)}")
         audio = Tensor(np.stack([stream.audio, stream.audio[::-1]]))
         visual = Tensor(np.stack([stream.visual, stream.visual[::-1]]))
         p = self.params
@@ -300,9 +291,9 @@ class Model:
         p1 = ad.max_pool1d(e1)
         e2 = _conv_relu(p1, p["frame_head.enc2_w"], p["frame_head.enc2_b"])
         p2 = ad.max_pool1d(e2)
-        u1 = ad.upsample1d(p2)
+        u1 = ad.upsample1d(p2, e2.shape[-2])
         d1 = _conv_relu(ad.concat([u1, e2], axis=-1), p["frame_head.dec1_w"], p["frame_head.dec1_b"])
-        u2 = ad.upsample1d(d1)
+        u2 = ad.upsample1d(d1, e1.shape[-2])
         d2 = _conv_relu(ad.concat([u2, e1], axis=-1), p["frame_head.dec2_w"], p["frame_head.dec2_b"])
         return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"],
                                  batched=True))

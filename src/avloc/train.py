@@ -8,8 +8,8 @@ time. The losses take the model's stacked pair as it is. Each
 optimization step accumulates gradients over a batch of clips, scales by
 the batch size, and applies one parameter update. A clip whose four loss
 values are not all finite stops training with a ValueError that names the
-epoch, step and clip; a clip of a length the model cannot take, one naming
-the split and clip, before the first step. backward() releases each clip's
+epoch, step and clip; an empty train split stops it before the first step.
+Clips of any length may share a split. backward() releases each clip's
 graph as it takes the gradients, so one graph is live at a time. The
 learning rate halves whenever validation loss has not improved for
 `patience` consecutive epochs, and the best-validation parameters are
@@ -32,7 +32,7 @@ from .losses import (
     frame_prob_loss,
     total_loss,
 )
-from .model import Model, check_clip_lengths
+from .model import Model
 from .autodiff import Tensor, keep_freed_memory, no_grad
 
 
@@ -156,8 +156,8 @@ def train(
     seed: int = 0,
 ) -> TrainResult:
     keep_freed_memory()
-    check_clip_lengths(train_clips, "train")
-    check_clip_lengths(val_clips, "val")
+    if not train_clips:
+        raise ValueError("train: the train split has no clips")
     max_duration = model.cfg.max_duration
     train_targets = [build_targets(ann, max_duration, d_f) for _, ann in train_clips]
     val_targets = [build_targets(ann, max_duration, d_f) for _, ann in val_clips]
@@ -203,7 +203,7 @@ def train(
                     for clip, tgt in zip(val_clips, val_targets)
                 ]))
         else:
-            val_loss = result.step_log[-1][4] if result.step_log else 0.0
+            val_loss = result.step_log[-1][4]
         columns = list(zip(*result.step_log[first_step:]))[1:]
         result.epoch_log.append(
             (epoch, val_loss, opt.lr, time.perf_counter() - started,

@@ -387,12 +387,12 @@ def _reference_frame_prob_head(model: Model, fused):
     p1 = ad.max_pool1d(e1)
     e2 = ad.relu(ad.add(ad.conv1d(p1, p["frame_head.enc2_w"]), p["frame_head.enc2_b"]))
     p2 = ad.max_pool1d(e2)
-    u1 = ad.upsample1d(p2)
+    u1 = ad.upsample1d(p2, e2.shape[-2])
     d1 = ad.relu(ad.add(
         ad.conv1d(ad.concat([u1, e2], axis=1), p["frame_head.dec1_w"]),
         p["frame_head.dec1_b"],
     ))
-    u2 = ad.upsample1d(d1)
+    u2 = ad.upsample1d(d1, e1.shape[-2])
     d2 = ad.relu(ad.add(
         ad.conv1d(ad.concat([u2, e1], axis=1), p["frame_head.dec2_w"]),
         p["frame_head.dec2_b"],

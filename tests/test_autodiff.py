@@ -186,9 +186,35 @@ def test_max_pool_bytes_match_argmax_reference(shape):
 
 def test_upsample_then_pool_roundtrip_shape():
     x = Tensor(rand(4, 3))
-    up = ad.upsample1d(x)
-    assert up.shape == (8, 3)
-    np.testing.assert_array_equal(ad.max_pool1d(up).data, x.data)
+    for length in (8, 7):  # 2T, and 2T - 1 with the last copy cropped
+        up = ad.upsample1d(x, length)
+        assert up.shape == (length, 3)
+        assert up.data.tobytes() == np.repeat(x.data, 2, axis=0)[:length].tobytes()
+        np.testing.assert_array_equal(ad.max_pool1d(up).data, x.data)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (7, 3), (63, 8), (2, 5, 4)])
+def test_max_pool_odd_last_frame_pairs_with_itself(shape):
+    # Ceil mode: pooling an odd T gives the bytes of pooling the clip with
+    # its last frame repeated, and the last frame takes its pool's whole
+    # gradient.
+    rng = np.random.default_rng(shape[-2])
+    x = rng.integers(-2, 3, shape).astype(np.float64)
+    padded = np.concatenate([x, x[..., -1:, :]], axis=-2)
+    out = ad.max_pool1d(Tensor(x, requires_grad=True))
+    want = ad.max_pool1d(Tensor(padded, requires_grad=True))
+    assert out.data.tobytes() == want.data.tobytes()
+    g = rng.uniform(-2, 2, out.shape)
+    got_vjp, want_vjp = out._parents[0][1](g), want._parents[0][1](g)
+    assert got_vjp.tobytes() == want_vjp[..., :-1, :].tobytes()
+    assert np.array_equal(got_vjp[..., -1, :], g[..., -1, :])
+
+
+@pytest.mark.parametrize("t, length", [(4, 9), (4, 6), (4, 0), (1, 3)])
+def test_upsample_takes_only_2t_minus_1_or_2t(t, length):
+    message = rf"upsample1d: .* got shape \({t}, 3\) and length {length}$"
+    with pytest.raises(ShapeError, match=message):
+        ad.upsample1d(Tensor(rand(t, 3)), length)
 
 
 def _dense_band(kernel, t):
@@ -402,7 +428,11 @@ BATCH_CASES = {
     "softmax": (lambda a: ad.softmax(a, axis=-1), lambda a: ad.softmax(a, axis=1),
                 [(64, 64)], (True,)),
     "max_pool1d": (ad.max_pool1d, ad.max_pool1d, [(64, 8)], (True,)),
-    "upsample1d": (ad.upsample1d, ad.upsample1d, [(32, 8)], (True,)),
+    "max_pool1d_odd": (ad.max_pool1d, ad.max_pool1d, [(63, 8)], (True,)),
+    "upsample1d": (lambda a: ad.upsample1d(a, 64), lambda a: ad.upsample1d(a, 64),
+                   [(32, 8)], (True,)),
+    "upsample1d_cropped": (lambda a: ad.upsample1d(a, 63), lambda a: ad.upsample1d(a, 63),
+                           [(32, 8)], (True,)),
     "add_bias": (lambda a, b: ad.add(a, b, batched=True), ad.add, [(64, 8), (8,)], (True, False)),
     "add_bias_column": (lambda a, b: ad.add(a, b, batched=True), ad.add,
                         [(128, 1), (1,)], (True, False)),
@@ -530,7 +560,11 @@ OP_CASES = {
     "mean_all": lambda: ((lambda x: ad.mean(ad.mul(x, x))), (4, 3)),
     "mean_axis": lambda: ((lambda x: _sq_mean(ad.mean(ad.mul(x, x), axis=0))), (4, 4)),
     "max_pool1d": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (6, 4)),
-    "upsample1d": lambda: ((lambda x: _sq_mean(ad.upsample1d(x))), (4, 3)),
+    "max_pool1d_odd": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (7, 4)),
+    "max_pool1d_one_frame": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (1, 4)),
+    "upsample1d": lambda: ((lambda x: _sq_mean(ad.upsample1d(x, 8))), (4, 3)),
+    "upsample1d_cropped": lambda: ((lambda x: _sq_mean(ad.upsample1d(x, 7))), (4, 3)),
+    "upsample1d_cropped_one_frame": lambda: ((lambda x: _sq_mean(ad.upsample1d(x, 1))), (1, 3)),
     "concat": lambda: ((lambda x, c=Tensor(rand(4, 4)): _sq_mean(ad.concat([x, c], axis=1))), (4, 4)),
     "transpose": lambda: ((lambda x: _sq_mean(ad.transpose(x))), (4, 4)),
     "transpose_axes": lambda: ((lambda x, c=Tensor(rand(3, 2, 2, 4)): _sq_mean(
@@ -561,7 +595,9 @@ OP_CASES = {
     "transpose_batched": lambda: ((lambda x: _sq_mean(ad.transpose(x))), (2, 4, 3)),
     "softmax_batched": lambda: ((lambda x: _sq_mean(ad.softmax(x, axis=-1))), (2, 4, 4)),
     "max_pool1d_batched": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (2, 6, 4)),
-    "upsample1d_batched": lambda: ((lambda x: _sq_mean(ad.upsample1d(x))), (2, 4, 3)),
+    "max_pool1d_odd_batched": lambda: ((lambda x: _sq_mean(ad.max_pool1d(x))), (2, 7, 4)),
+    "upsample1d_batched": lambda: ((lambda x: _sq_mean(ad.upsample1d(x, 8))), (2, 4, 3)),
+    "upsample1d_cropped_batched": lambda: ((lambda x: _sq_mean(ad.upsample1d(x, 7))), (2, 4, 3)),
     "add_bias_batched": lambda: ((lambda x, c=Tensor(rand(2, 5, 4)): _sq_mean(ad.add(c, x, batched=True))), (4,)),
     "batch_element": lambda: ((lambda x: _sq_mean(ad.add(
         ad.batch_element(x, 0), ad.mul(ad.batch_element(x, 1), ad.batch_element(x, 1))))), (2, 4, 3)),

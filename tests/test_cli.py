@@ -274,37 +274,100 @@ def test_one_checkpoint_predicts_a_split_of_another_length(dataset, config_path,
     assert max(e for _, e, _ in proposals) > 32  # scored over the whole clip
 
 
-def test_clip_length_not_a_multiple_of_4_exits_2(config_path, tmp_path, capsys):
+def test_split_of_mixed_odd_lengths_infers_with_exit_0(config_path, tmp_path, capsys):
+    # One split, three lengths, none a multiple of 4; T = 1 is shorter than
+    # every candidate duration but the first.
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, Model(run_config_from_dict(TINY_CONFIG).model, seed=0))
     rng = np.random.default_rng(0)
-    stream = FeatureStream(audio=rng.normal(size=(18, 4)), visual=rng.normal(size=(18, 4)))
-    save_dataset(tmp_path / "odd", [(stream, StreamAnnotation(id="odd-0", num_frames=18))])
+    lengths = {"odd-18": 18, "odd-19": 19, "odd-1": 1}
+    clips = [(FeatureStream(audio=rng.normal(size=(t, 4)), visual=rng.normal(size=(t, 4))),
+              StreamAnnotation(id=clip_id, num_frames=t)) for clip_id, t in lengths.items()]
+    save_dataset(tmp_path / "odd", clips)
     preds = tmp_path / "p.json"
     assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
-                 "--data", str(tmp_path / "odd"), "--out", str(preds)]) == 2
-    err = capsys.readouterr().err
-    assert "stream has 18 frames, not a multiple of 4" in err
-    assert "Traceback" not in err
-    assert not preds.exists()
+                 "--data", str(tmp_path / "odd"), "--out", str(preds)]) == 0
+    payload = {clip["id"]: clip["proposals"] for clip in json.loads(preds.read_text())}
+    assert sorted(payload) == sorted(lengths)
+    for clip_id, proposals in payload.items():
+        assert proposals
+        assert all(0 <= s < e <= lengths[clip_id] for s, e, _ in proposals)
+    assert "Traceback" not in capsys.readouterr().err
 
 
-def test_bad_clip_length_stops_training_before_the_first_step(dataset, config_path, tmp_path,
-                                                             capsys, monkeypatch):
-    # An 18-frame clip last in the val split: training stops before any
-    # clip runs, and the error names the split and the clip.
+def test_val_clip_of_another_length_is_validated(dataset, config_path, tmp_path, monkeypatch):
+    # An 18-frame clip last in the 32-frame val split is scored with the
+    # rest, and training writes its checkpoint.
     stream = FeatureStream(audio=np.zeros((18, 4)), visual=np.zeros((18, 4)))
     val = load_dataset(dataset / "val")
     save_dataset(dataset / "val", val + [(stream, StreamAnnotation(id="odd-0", num_frames=18))])
-    steps = []
-    monkeypatch.setattr(sys.modules["avloc.train"], "clip_losses", lambda *a: steps.append(a))
+    train_mod = sys.modules["avloc.train"]
+    real, seen = train_mod.clip_losses, []
+
+    def spy(model, clip, *rest):
+        seen.append(clip[1].id)
+        return real(model, clip, *rest)
+
+    monkeypatch.setattr(train_mod, "clip_losses", spy)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path, "--data", str(dataset),
+                 "--out", str(ckpt)]) == 0
+    assert seen.count("odd-0") == TINY_CONFIG["optim"]["epochs"]
+    assert ckpt.exists()
+    epochs = (tmp_path / "model.loss.epochs.jsonl").read_text().splitlines()
+    assert all(math.isfinite(json.loads(line)["val_loss"]) for line in epochs)
+
+
+def test_18_frame_split_trains_and_infers(tmp_path):
+    cfg = dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], num_frames=18),
+               synth=dict(TINY_CONFIG["synth"], num_frames=18, max_len=9))
+    path = tmp_path / "t18.json"
+    path.write_text(json.dumps(cfg))
+    data, ckpt, preds = tmp_path / "data", tmp_path / "model.ckpt", tmp_path / "p.json"
+    assert main(["synth", "--config", str(path), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(path), "--data", str(data), "--out", str(ckpt)]) == 0
+    assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--data", str(data / "test"), "--out", str(preds)]) == 0
+    payload = json.loads(preds.read_text())
+    assert len(payload) == 3
+    proposals = [p for clip in payload for p in clip["proposals"]]
+    assert proposals and all(0 <= s < e <= 18 for s, e, _ in proposals)
+
+
+def test_empty_train_split_exits_2_without_checkpoint(dataset, config_path, tmp_path, capsys):
+    (dataset / "train" / "annotations.json").write_text("[]")
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config_path, "--data", str(dataset),
                  "--out", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert "error: val: clip 'odd-0': stream has 18 frames, not a multiple of 4" in err
+    assert "error: train: the train split has no clips" in err
     assert "Traceback" not in err
-    assert not steps and not ckpt.exists()
+    assert not ckpt.exists()
+
+
+def test_feature_width_mismatch_exits_2_naming_the_field(config_path, tmp_path, capsys):
+    # A split of 8-wide audio features against a config whose model takes 4.
+    wide = dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], d_audio=8),
+                synth=dict(TINY_CONFIG["synth"], d_audio=8))
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(wide))
+    data = tmp_path / "wide"
+    assert main(["synth", "--config", str(wide_path), "--out", str(data)]) == 0
+    capsys.readouterr()
+    message = "error: stream has 8-wide audio features, but model.d_audio is 4"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path, "--data", str(data),
+                 "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not ckpt.exists()
+    save_checkpoint(ckpt, Model(run_config_from_dict(TINY_CONFIG).model, seed=0))
+    preds = tmp_path / "p.json"
+    assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
+                 "--data", str(data / "test"), "--out", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not preds.exists()
 
 
 def test_non_finite_checkpoint_exits_2(dataset, config_path, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from avloc import autodiff as ad
 from avloc.autodiff import Tensor
 from avloc.data import FeatureStream, SynthConfig, generate_clip
-from avloc.gradcheck import TINY_MODEL
+from avloc.gradcheck import TINY_MODEL, model_grad_errors
 from avloc.inference import InferenceConfig
 from avloc.labels import in_range_mask
 from avloc.losses import LossConfig
@@ -43,13 +43,13 @@ def tiny_stream(seed=0, t=16, d=4):
     return FeatureStream(audio=rng.normal(size=(t, d)), visual=rng.normal(size=(t, d)))
 
 
-def test_num_frames_must_divide_by_four():
-    # The rule is checked on each clip (the frame head's two pool stages),
-    # not on the config, and the error names the clip's frame count.
+def test_encode_and_fuse_takes_any_frame_count():
+    # T is read from each clip and need not be a multiple of anything.
     model = Model(TINY, seed=0)
-    for t in (18, 2, 30):
-        with pytest.raises(ValueError, match=f"stream has {t} frames, not a multiple of 4"):
-            model.encode_and_fuse(tiny_stream(t=t))
+    for t in (18, 2, 30, 1, 7):
+        enc = model.encode_and_fuse(tiny_stream(t=t))
+        assert enc.fused.shape == (2, t, TINY.fused_channels)
+        assert enc.f_av.shape == enc.f_va.shape == (2, t, TINY.channels)
 
 
 def test_parameter_count_matches_formula():
@@ -420,30 +420,48 @@ def test_small_inference_clip_op_calls_are_untracked(monkeypatch):
     assert not any(tracked)
 
 
-def test_wrong_frame_count_rejected():
+def test_forward_full_takes_a_clip_of_22_frames():
+    # 22 frames pool to 11, then 6 in ceil mode; the upsampled levels are
+    # cropped back to 11 and 22. The stacked pass keeps the bytes of the
+    # two-pass reference, which runs the same ops per direction.
     model = Model(TINY, seed=0)
-    with pytest.raises(ValueError, match="22 frames"):
-        model.forward_full(tiny_stream(t=22))
+    stream = tiny_stream(t=22)
+    out = model.forward_full(stream)
+    assert out.boundary_map.shape == (TINY.max_duration, 22)
+    assert out.probs.shape == (2, 22, 3)
+    want = reference_forward_full(model, stream)
+    for f in fields(ForwardOutput):
+        assert getattr(out, f.name).data.tobytes() == getattr(want, f.name).data.tobytes()
 
 
-@pytest.mark.parametrize("t", [8, 32, 64, 128])
+@pytest.mark.parametrize("t", [1, 3, 8, 18, 32, 33, 64, 128])
 def test_one_model_serves_every_clip_length(t):
-    # Default model, L = 40: T = 8 and 32 give clips shorter than L. Every
-    # shape follows the clip; losses and gradients stay finite.
+    # Default model, L = 40: T = 1 to 33 give clips shorter than L, and T = 1,
+    # 3, 18 and 33 are not multiples of 4. Every shape follows the clip;
+    # losses and every parameter's gradient stay finite.
     cfg = ModelConfig()
     synth = SynthConfig(count=1, num_frames=t, d_audio=cfg.d_audio, d_visual=cfg.d_visual,
-                        min_segments=1, max_segments=1, min_len=2, max_len=min(t, 16))
+                        min_segments=1, max_segments=1, min_len=min(2, t), max_len=min(t, 16))
     clip = generate_clip(synth, np.random.default_rng(t), "c")
     model = Model(cfg, seed=0)
     losses = clip_losses(model, clip, build_targets(clip[1], cfg.max_duration, 1.0), LossConfig())
     assert np.all(np.isfinite(losses.values()))
     losses.total.backward()
-    assert all(np.all(np.isfinite(p.grad)) for p in model.params.values())
+    assert all(p.grad is not None and np.all(np.isfinite(p.grad))
+               for p in model.params.values())
     out = model.forward_full(clip[0])
     assert out.boundary_map.shape == (cfg.max_duration, t)
     assert out.probs.shape == (2, t, 3)
     for prop in predict_clip(model, clip, InferenceConfig()):
         assert 0 <= prop.segment.start < prop.segment.end <= t
+
+
+def test_whole_model_gradients_match_finite_differences_at_15_frames():
+    # 15 frames pool to 8, then 4, in ceil mode, and the upsampled levels
+    # are cropped to 8 and 15: criterion 1's bound holds for every
+    # parameter group and loss term.
+    report = model_grad_errors(replace(TINY_MODEL, num_frames=15))
+    assert report.passed, f"max relative error {report.max_error:.3e}"
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""scripts/seed_sweep.py --variant: a Model subclass or method mapping put in
-place of avloc's Model, without an edit to src/."""
+"""scripts/seed_sweep.py: --variant, a Model subclass or method mapping put
+in place of avloc's Model without an edit to src/; the per-seed output
+digests, and --against's same-bytes verdict, run on a faked avloc CLI."""
 
+import hashlib
 import importlib.util
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -74,3 +77,55 @@ def test_subclass_replaces_model_in_every_module(sweep, variants, tmp_path):
 def test_bad_variant_is_a_value_error(sweep, variants, spec, message):
     with pytest.raises(ValueError, match=message):
         sweep.apply_variant(spec)
+
+
+def _fake_cli(differ_in: str = ""):
+    """A stand-in for avloc's CLI: each command writes small files of fixed
+    bytes, and a train or infer output under a path containing `differ_in`
+    gets one extra byte."""
+
+    def cli(argv):
+        command, opts = argv[0], dict(zip(argv[1::2], argv[2::2]))
+        out = Path(opts["--out"])
+        if command == "eval":
+            out.write_text(json.dumps({"ap": {"0.5": 0.5}, "ar": {"10": 0.25}}))
+            return 0
+        seed = json.loads(Path(opts["--config"]).read_text())["seed"]
+        extra = b"+" if differ_in and differ_in in str(out) else b""
+        if command == "synth":
+            out.mkdir(parents=True)
+        elif command == "train":
+            out.write_bytes(b"ckpt %d" % seed + extra)
+        elif command == "infer":
+            out.write_bytes(b"preds %s %d" % (opts["--fusion"].encode(), seed) + extra)
+        return 0
+
+    return cli
+
+
+def test_run_seed_records_output_digests(sweep, tmp_path, monkeypatch):
+    monkeypatch.setattr(avloc.cli, "main", _fake_cli())
+    record = sweep.run_seed(tmp_path / "w", 3)
+    assert sorted(record["sha256"]) == ["model.ckpt", "preds_both.json", "preds_forward.json"]
+    assert record["sha256"]["model.ckpt"] == hashlib.sha256(b"ckpt 3").hexdigest()
+    assert record["sha256"]["preds_forward.json"] == hashlib.sha256(b"preds forward 3").hexdigest()
+    assert record["both"] == {"ap": {"0.5": 0.5}, "ar": {"10": 0.25}}
+
+
+@pytest.mark.parametrize("differ_in, same, line", [
+    ("", [True] * 5, "checkpoint and predictions: the parent's bytes at every seed"),
+    ("change-seed2/preds_both", [True, False, True, True, True],
+     "checkpoint and predictions: differ from the parent's at seeds 2"),
+])
+def test_against_records_and_prints_whether_every_seed_has_the_parents_bytes(
+        sweep, tmp_path, monkeypatch, capsys, differ_in, same, line):
+    monkeypatch.setattr(avloc.cli, "main", _fake_cli(differ_in))
+    monkeypatch.setattr(sweep, "_spawn", lambda src, work, seed, variant: sweep.run_seed(work, seed))
+    monkeypatch.setattr(sweep, "_export", lambda rev, dest: "0" * 40)
+    out = tmp_path / "QUALITY.json"
+    monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "--out", str(out), "--against", "HEAD"])
+    assert sweep.main() == 0
+    record = json.loads(out.read_text())
+    assert record["same_bytes"] == dict(zip(map(str, sweep.SEEDS), same))
+    assert record["runs"]["parent"]["commit"] == "0" * 40
+    assert capsys.readouterr().out.splitlines()[-1] == line
