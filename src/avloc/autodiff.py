@@ -370,8 +370,13 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    # The bytes of np.where(a > 0, a, 0.0) without its branch, which
+    # mispredicts on mixed signs: fmax sends NaN and -inf to 0.0, and adding
+    # 0.0 turns the -0.0 that fmax keeps outside its vector loop into +0.0.
     mask = a.data > 0
-    return _op(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return _op(out, [(a, lambda g: g * mask)])
 
 
 def log(a: Tensor) -> Tensor:

@@ -8,19 +8,21 @@ map and the fused triplet, then Soft-NMS with Gaussian score decay and
 top-k retention.
 Scoring and Soft-NMS pass one float64 [P, 3] array of (start, end, score)
 rows, the layout of the predictions file; `pipeline.predict_clip` turns
-the kept rows into ScoredProposal objects. All numpy; no autodiff
-involvement.
+the kept rows into ScoredProposal objects. Both read one cached candidate
+layout per (L, T), and Soft-NMS runs `score_proposals`' own rows on the
+[L, T] grid, with one cached decay slab per candidate length. All numpy;
+no autodiff involvement.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, Segment, finite_float, segment_from_json
+from .data import DatasetFormatError, Segment, finite_float, interval_iou, segment_from_json
 from .labels import in_range_mask
 
 
@@ -66,6 +68,20 @@ def fuse_bidirectional(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
     return np.sqrt(fwd * align_backward(bwd))
 
 
+@functools.lru_cache(maxsize=8)
+def _candidates(max_duration: int, num_frames: int):
+    """The in-range cells of an [L, T] map with L <= T, in `score_proposals`'
+    row order (duration-major, then start): the boolean [L, T] mask, each
+    cell's duration index i and start j, and its (start, end) frames as a
+    float64 [P, 2] array. Read-only, cached per (L, T)."""
+    mask = in_range_mask(max_duration, num_frames)
+    i, j = np.nonzero(mask)
+    frames = np.column_stack([j, j + i + 1]).astype(np.float64)
+    for a in (mask, i, j, frames):
+        a.flags.writeable = False
+    return mask, i, j, frames
+
+
 def score_proposals(boundary_map: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Score every in-range candidate (start j, duration i+1) as a float64 [P, 3] array.
 
@@ -81,10 +97,99 @@ def score_proposals(boundary_map: np.ndarray, probs: np.ndarray) -> np.ndarray:
                          f"start positions, got {probs.shape}")
     start, end, content = probs.T
     csum = np.concatenate([[0.0], np.cumsum(content)])
-    i, j = np.nonzero(in_range_mask(max_duration, t))
+    _, i, j, frames = _candidates(min(max_duration, t), t)
     content_mean = (csum[j + i + 1] - csum[j]) / (i + 1)
     scores = boundary_map[i, j] * start[j] * end[j + i] * content_mean
-    return np.column_stack([j, j + i + 1, scores]).astype(np.float64, copy=False)
+    return np.column_stack([frames, scores])
+
+
+@functools.lru_cache(maxsize=256)
+def _decay_slab(max_duration: int, length: int, sigma: float) -> np.ndarray:
+    """Soft-NMS decay factors exp(-IoU^2 / sigma) of the cells of an [L, T]
+    map against a pick [0, length): a read-only [L, L + length - 1] array
+    whose row i holds the candidates of i + 1 frames and whose column c
+    those starting at frame c - (L - 1), every start that can overlap.
+
+    The arithmetic is `data.interval_iou`'s. On integer frames every step
+    up to the division is exact, so a cell's factor depends only on the two
+    lengths and the offset between the starts, not on where the pick lies.
+    Cached per (L, length, sigma).
+    """
+    starts = np.arange(1 - max_duration, length, dtype=np.float64)
+    ends = starts + np.arange(1, max_duration + 1, dtype=np.float64)[:, None]
+    slab = np.exp(-(interval_iou(starts, ends, 0.0, float(length)) ** 2) / sigma)
+    slab.flags.writeable = False
+    return slab
+
+
+def _grid_shape(proposals: np.ndarray) -> tuple[int, int] | None:
+    """(L, T) if the rows are exactly `score_proposals`' rows of an [L, T]
+    map with L <= T and no score is +inf; otherwise None.
+
+    O(P): the last row gives (L, T) (it is the cell [T - L, T)), and the row
+    count is compared with the layout's L*T - L(L-1)/2 before any layout
+    is built, so a layout is never larger than twice the rows.
+    """
+    if proposals.dtype != np.float64 or not len(proposals) or (proposals[:, 2] == np.inf).any():
+        return None
+    start, end = proposals[-1, :2].tolist()
+    if not (start >= 0 and start.is_integer() and end.is_integer()):
+        return None
+    max_duration, t = int(end - start), int(end)
+    if len(proposals) != max_duration * t - max_duration * (max_duration - 1) // 2:
+        return None
+    if not np.array_equal(proposals[:, :2], _candidates(max_duration, t)[3]):
+        return None
+    return max_duration, t
+
+
+def _soft_nms_grid(proposals: np.ndarray, shape: tuple[int, int], cfg: InferenceConfig):
+    """Picked caller rows and their scores, for `score_proposals`' rows of an [L, T] map."""
+    max_duration, t = shape
+    scores = proposals[:, 2]
+    grid = np.full(shape, -np.inf)
+    grid[_candidates(max_duration, t)[0]] = np.where(scores >= cfg.score_floor, scores, -np.inf)
+    flat = grid.reshape(-1)
+    # IoU <= 1, so every factor is at least exp(-1 / sigma). Only where that
+    # can underflow to 0.0 (sigma below about 0.003) are the -inf cells
+    # skipped, as -inf * 0.0 is NaN.
+    can_underflow = not math.exp(-2.0 / cfg.sigma) > 0.0
+    picked: list[int] = []
+    picked_scores: list[float] = []
+    while len(picked) < cfg.top_k:
+        best = int(flat.argmax())  # the first maximum in grid order is the earliest row
+        top = flat[best]
+        if not top >= cfg.score_floor:
+            break
+        flat[best] = -np.inf
+        i, j = divmod(best, t)
+        picked.append(i * t - i * (i - 1) // 2 + j)  # the caller row of cell (i, j)
+        picked_scores.append(top)
+        lo = j + 1 - max_duration  # the slab's first column is this start
+        a, b = max(lo, 0), min(j + i + 1, t)
+        window = grid[:, a:b]
+        np.multiply(window, _decay_slab(max_duration, i + 1, cfg.sigma)[:, a - lo:b - lo],
+                    out=window, where=window > -np.inf if can_underflow else True)
+    return picked, picked_scores
+
+
+def _soft_nms_rows(proposals: np.ndarray, cfg: InferenceConfig):
+    """Picked rows and their scores, for any rows: every active row is
+    rescored at each pick."""
+    starts, ends = proposals[:, 0], proposals[:, 1]
+    scores = proposals[:, 2].copy()
+    active = scores >= cfg.score_floor  # NaN fails too
+    picked: list[int] = []
+    while len(picked) < cfg.top_k and active.any():
+        best = int(np.argmax(np.where(active, scores, -np.inf)))  # first index wins ties
+        picked.append(best)
+        active[best] = False
+        idx = np.flatnonzero(active)
+        if idx.size:
+            iou = interval_iou(starts[idx], ends[idx], starts[best], ends[best])
+            scores[idx] *= np.exp(-(iou ** 2) / cfg.sigma)
+            active[idx] &= scores[idx] >= cfg.score_floor
+    return picked, scores[picked]
 
 
 def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
@@ -98,66 +203,28 @@ def soft_nms(proposals: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
     ValueError naming the first row whose frames are not finite with
     start < end.
 
-    Rows below the floor (and NaN rows) are dropped up front and the rest
-    sorted by start. A row overlaps the pick [s, e) only if its start is
-    below e and its end above s. `reach`, the running maximum of the ends
-    in start order, is sorted like the starts, so the rows that can overlap
-    are one slice, from the first reach above s to the first start at or
-    past e: two bisections. Each pick rescores only that slice, in place,
-    with the arithmetic of `data.interval_iou` and exp(-(iou ** 2) / sigma)
-    as in-place ufuncs (x / -sigma equals -x / sigma bit for bit); every
-    other row would be multiplied by exp(-0 / sigma) = 1.0, so skipping it
-    changes no bit. A row that decays below the floor keeps decaying and
-    stays below it, so it is never the argmax while a row at or above the
-    floor remains; only picked rows hold -inf. A tie for the top score
-    shows as a last maximum (the argmax of the reversed scores) other than
-    the first, and only then are the tied rows looked up.
+    The rows `score_proposals` makes, every in-range cell of an [L, T] map,
+    run on that grid: rows below the floor (and NaN rows) become -inf
+    cells, each pick is one argmax over the flat grid, and the pick's
+    column window, every start that can overlap it, is multiplied in place
+    by a cached decay slab (`_decay_slab`). Cells outside the window would
+    be multiplied by exp(-0 / sigma) = 1.0, and a cell that decays below
+    the floor stays below it, so it is never the argmax while a cell at or
+    above the floor remains. Any other rows (hand-made, duplicated, float
+    frames) are all rescored at each pick. Both give the same bytes.
     """
-    starts, ends, scores = proposals.T
+    starts, ends = proposals[:, 0], proposals[:, 1]
     bad = ~((starts < ends) & np.isfinite(starts) & np.isfinite(ends))
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"soft_nms: row {k} needs finite frames with start < end, "
                          f"got {proposals[k].tolist()}")
-    live = np.flatnonzero(scores >= cfg.score_floor)  # NaN fails too
-    rows = live[np.argsort(starts[live], kind="stable")]  # caller row of each sorted row
-    starts, ends, scores = proposals.take(rows, axis=0).T.copy()
-    lengths = ends - starts
-    start_list = starts.tolist()
-    reach = np.maximum.accumulate(ends).tolist()
-    last = len(rows) - 1
-    # IoU <= 1, so every factor is at least exp(-1 / sigma). Only where that
-    # can underflow to 0.0 (sigma below about 0.003) are the picked rows
-    # skipped, as -inf * 0.0 is NaN.
-    can_underflow = not math.exp(-2.0 / cfg.sigma) > 0.0
-    picked: list[int] = []
-    picked_scores: list[float] = []
-    while len(picked) < cfg.top_k and rows.size:
-        best = int(scores.argmax())  # first in start order
-        top = scores[best]
-        if not top >= cfg.score_floor:
-            break
-        if last - int(scores[::-1].argmax()) != best:  # ties go to the earliest caller row
-            ties = np.flatnonzero(scores == top)
-            best = int(ties[rows[ties].argmin()])
-            top = scores[best]  # a tied 0.0 and -0.0 differ in bytes
-        picked.append(best)
-        picked_scores.append(top)
-        scores[best] = -np.inf
-        s, e = start_list[best], ends.item(best)
-        lo, hi = bisect_right(reach, s), bisect_left(start_list, e)
-        window = scores[lo:hi]
-        iou = np.minimum(ends[lo:hi], e)
-        iou -= np.maximum(starts[lo:hi], s)
-        np.maximum(iou, 0, out=iou)
-        union = lengths[lo:hi] + (e - s)
-        union -= iou
-        iou /= union
-        np.square(iou, out=iou)
-        iou /= -cfg.sigma
-        np.exp(iou, out=iou)
-        np.multiply(window, iou, out=window, where=window > -np.inf if can_underflow else True)
-    kept = np.column_stack([starts[picked], ends[picked], picked_scores])
+    shape = _grid_shape(proposals)
+    if shape is None:
+        picked, picked_scores = _soft_nms_rows(proposals, cfg)
+    else:
+        picked, picked_scores = _soft_nms_grid(proposals, shape, cfg)
+    kept = np.column_stack([proposals[picked, :2], picked_scores])
     return kept[np.argsort(-kept[:, 2], kind="stable")]
 
 

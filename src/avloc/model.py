@@ -243,12 +243,18 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def encode_and_fuse(self, stream: FeatureStream) -> EncodeOutput:
-        """Encode and fuse the forward and the time-reversed stream as one stacked pair."""
+    def check_feature_widths(self, stream: FeatureStream, clip_id: str | None = None) -> None:
+        """Raise ValueError, naming `clip_id` if given, unless the stream's
+        feature widths are model.d_audio and model.d_visual."""
         for name, feats in (("d_audio", stream.audio), ("d_visual", stream.visual)):
             if feats.shape[1] != getattr(self.cfg, name):
-                raise ValueError(f"stream has {feats.shape[1]}-wide {name[2:]} features, "
+                where = "" if clip_id is None else f"clip {clip_id!r}: "
+                raise ValueError(f"{where}stream has {feats.shape[1]}-wide {name[2:]} features, "
                                  f"but model.{name} is {getattr(self.cfg, name)}")
+
+    def encode_and_fuse(self, stream: FeatureStream) -> EncodeOutput:
+        """Encode and fuse the forward and the time-reversed stream as one stacked pair."""
+        self.check_feature_widths(stream)
         audio = Tensor(np.stack([stream.audio, stream.audio[::-1]]))
         visual = Tensor(np.stack([stream.visual, stream.visual[::-1]]))
         p = self.params

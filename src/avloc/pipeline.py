@@ -65,6 +65,10 @@ def predict_dataset(
     model: Model, clips: list[Clip], infer_cfg: InferenceConfig, fusion: str = "both",
     *, timing: dict[str, float] | None = None,
 ) -> dict[str, list[ScoredProposal]]:
+    """`predict_clip` on every clip, keyed by clip id. Every clip's feature
+    widths are checked before the first forward pass."""
+    for stream, ann in clips:
+        model.check_feature_widths(stream, ann.id)
     return {ann.id: predict_clip(model, (stream, ann), infer_cfg, fusion, timing=timing)
             for stream, ann in clips}
 

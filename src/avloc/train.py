@@ -158,6 +158,8 @@ def train(
     keep_freed_memory()
     if not train_clips:
         raise ValueError("train: the train split has no clips")
+    for stream, ann in (*train_clips, *val_clips):
+        model.check_feature_widths(stream, ann.id)
     max_duration = model.cfg.max_duration
     train_targets = [build_targets(ann, max_duration, d_f) for _, ann in train_clips]
     val_targets = [build_targets(ann, max_duration, d_f) for _, ann in val_clips]

@@ -235,7 +235,8 @@ def reference_soft_nms(proposals: np.ndarray, cfg) -> np.ndarray:
     """Gaussian Soft-NMS that rescores every active row at each pick.
 
     The earlier `inference.soft_nms`, copied verbatim: its output bytes are
-    the specification of the windowed version.
+    the specification of the grid path, which runs on `score_proposals`'
+    own rows.
     """
     starts, ends = proposals[:, 0], proposals[:, 1]
     scores = proposals[:, 2].copy()

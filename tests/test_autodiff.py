@@ -90,6 +90,20 @@ def test_repeated_backward_accumulates_into_leaf():
     np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 37, 40 * 128 * 32])
+def test_relu_bytes_match_where_on_signed_zero_nan_and_inf(n):
+    # numpy runs fmax in a vector loop and a scalar tail, which keep
+    # different signs of zero for fmax(-0.0, 0.0); sizes 1, 7 and 9 hit the tail
+    values = np.array([-0.0, 0.0, np.nan, -np.nan, -np.inf, np.inf, -1.5, 2.5, 5e-324, -5e-324])
+    x = np.resize(values, n)
+    for view in (x, x[::-1], np.resize(values, (n, 2))[:, 1], x.reshape(-1, 1)):
+        got = ad.relu(Tensor(view)).data
+        assert got.tobytes() == np.where(view > 0, view, 0.0).tobytes()
+    x = Tensor(values, requires_grad=True)
+    ad.mean(ad.relu(x)).backward()
+    assert x.grad.tolist() == [0.0] * 5 + [0.1, 0.0, 0.1, 0.1, 0.0]
+
+
 def test_backward_frees_interior_arrays_the_caller_dropped():
     x = Tensor(rand(5), requires_grad=True)
     hidden = ad.relu(x)

@@ -354,19 +354,21 @@ def test_feature_width_mismatch_exits_2_naming_the_field(config_path, tmp_path, 
     data = tmp_path / "wide"
     assert main(["synth", "--config", str(wide_path), "--out", str(data)]) == 0
     capsys.readouterr()
-    message = "error: stream has 8-wide audio features, but model.d_audio is 4"
+    message = "stream has 8-wide audio features, but model.d_audio is 4"
+    first_id = {split: json.loads((data / split / "annotations.json").read_text())[0]["id"]
+                for split in ("train", "test")}
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config_path, "--data", str(data),
                  "--out", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert f"error: clip {first_id['train']!r}: {message}" in err and "Traceback" not in err
     assert not ckpt.exists()
     save_checkpoint(ckpt, Model(run_config_from_dict(TINY_CONFIG).model, seed=0))
     preds = tmp_path / "p.json"
     assert main(["infer", "--config", config_path, "--checkpoint", str(ckpt),
                  "--data", str(data / "test"), "--out", str(preds)]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert f"error: clip {first_id['test']!r}: {message}" in err and "Traceback" not in err
     assert not preds.exists()
 
 

@@ -1,13 +1,14 @@
 import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avloc import pipeline
+from avloc import inference, pipeline
 from avloc.data import DatasetFormatError, Segment, SynthConfig, generate_clip
 from avloc.inference import (
     InferenceConfig,
@@ -309,21 +310,28 @@ def test_soft_nms_edge_cases_match_all_rows_reference(proposals):
     assert got.tobytes() == want.tobytes()
 
 
-def edge_grid(seed, scores):
-    """A shuffled score_proposals grid at T=64, L=12. scores="signed" sets
-    an eighth of the scores each to a negative value, NaN, -0.0 and 0.0;
-    scores="equal" sets every score to 0.5."""
-    rng = np.random.default_rng(seed)
-    grid = tied_grid(64, 12, seed, rounded=False)
-    if scores == "equal":
+def with_scores(grid, rng, scores):
+    """`grid` with its scores edited in place: "random" leaves them;
+    "rounded" rounds them to 0.1, so that many tie; "signed" sets an eighth
+    of them each to a negative value, NaN, -0.0 and 0.0; "equal" sets every
+    score to 0.5."""
+    if scores == "rounded":
+        grid[:, 2] = np.round(grid[:, 2], 1)
+    elif scores == "equal":
         grid[:, 2] = 0.5
-    else:
+    elif scores == "signed":
         parts = np.array_split(rng.permutation(len(grid)), 8)
         grid[parts[0], 2] *= -1.0
         grid[parts[1], 2] = np.nan
         grid[parts[2], 2] = -0.0
         grid[parts[3], 2] = 0.0
     return grid
+
+
+def edge_grid(seed, scores):
+    """A shuffled score_proposals grid at T=64, L=12, its scores "signed" or
+    "equal" (`with_scores`)."""
+    return with_scores(tied_grid(64, 12, seed, rounded=False), np.random.default_rng(seed), scores)
 
 
 @pytest.mark.parametrize("scores", ["signed", "equal"])
@@ -338,6 +346,75 @@ def test_soft_nms_score_edge_cases_match_all_rows_reference(scores, sigma, floor
             got, want = soft_nms(grid, cfg), reference_soft_nms(grid, cfg)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+
+def ordered_grid(t, max_duration, seed, scores):
+    """score_proposals' own rows for random maps, in its order with no
+    duplicates, with `with_scores`' scores."""
+    rng = np.random.default_rng(seed)
+    grid = score_proposals(rng.uniform(0, 1, (max_duration, t)), rand_triplet(t, rng) ** 0.25)
+    return with_scores(grid, rng, scores)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-4, 0.1])
+@pytest.mark.parametrize("sigma", [0.001, 0.1, 1.0])
+@pytest.mark.parametrize("scores", ["random", "rounded", "signed", "equal"])
+@pytest.mark.parametrize("t,max_duration", [(128, 40), (64, 12), (16, 40), (1, 40), (512, 60)])
+def test_soft_nms_grid_path_bytes_match_all_rows_reference(monkeypatch, t, max_duration, scores,
+                                                          sigma, floor):
+    # L > T leaves only the durations that fit: (16, 40) is a 16 x 16 grid
+    monkeypatch.setattr(inference, "_soft_nms_rows", None)  # the grid path must take these rows
+    rng = np.random.default_rng([t, max_duration, int(1000 * sigma), int(1e4 * floor)])
+    grid = ordered_grid(t, max_duration, int(rng.integers(1 << 30)), scores)
+    for top_k in (1, int(rng.integers(2, 150)), 150):
+        cfg = InferenceConfig(sigma=sigma, score_floor=floor, top_k=top_k)
+        got, want = soft_nms(grid, cfg), reference_soft_nms(grid, cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_soft_nms_inf_scores_match_all_rows_reference():
+    # At sigma 0.001 the factor of [0, 39) against the pick [0, 40) underflows
+    # to 0.0, and inf * 0.0 is NaN: the reference drops that row, while on the
+    # grid a NaN cell would be the next argmax.
+    grid = ordered_grid(128, 40, 0, "random")
+    grid[(grid[:, 0] == 0) & (grid[:, 1] >= 39), 2] = np.inf
+    for sigma in (0.001, 1.0):
+        cfg = InferenceConfig(sigma=sigma, top_k=5)
+        with np.errstate(invalid="ignore"):
+            got, want = soft_nms(grid, cfg), reference_soft_nms(grid, cfg)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("proposals, layouts", [
+    (rows((0, 1e12, 0.5)), 0),                            # one row of a 1e12-frame grid
+    (rows((0, 1, 0.5), (1, 2, 0.4), (0, 4, 0.3)), 0),     # three rows; [0, 4) needs 10
+    (rows((0, 1, 0.5), (0.5, 2, 0.4), (0, 2, 0.3)), 1),   # the 2 x 2 grid's count, a float frame
+], ids=["huge", "wrong_count", "float_frame"])
+def test_soft_nms_grid_check_rejects_other_rows_without_a_large_layout(proposals, layouts):
+    cfg = InferenceConfig()
+    inference._candidates.cache_clear()
+    tracemalloc.start()
+    try:
+        got = soft_nms(proposals, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == reference_soft_nms(proposals, cfg).tobytes()
+    assert peak < 64 * 1024
+    assert inference._candidates.cache_info().currsize == layouts
+
+
+def test_soft_nms_caches_read_only_slabs_and_layouts():
+    slab = inference._decay_slab(40, 7, 1.0)
+    assert slab.shape == (40, 46)
+    assert slab is inference._decay_slab(40, 7, 1.0)
+    for array in (slab, *inference._candidates(12, 64)):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+    # the factor of the pick itself, [0, 7) against [0, 7), is exp(-1 / sigma)
+    assert slab[6, 39] == np.exp(-1.0)
 
 
 @pytest.mark.parametrize("bad, k", [
@@ -415,6 +492,20 @@ def test_predict_clip_records_no_graph_and_keeps_its_bytes(monkeypatch, fusion):
     assert len(graph_free) == 100
     assert [(p.segment, p.score.hex()) for p in graph_free] == \
         [(p.segment, p.score.hex()) for p in tracked]
+
+
+def test_predict_clip_keeps_the_all_rows_reference_picks():
+    model = Model(ModelConfig(), seed=7)
+    clip = generate_clip(SynthConfig(), np.random.default_rng(7), "c")
+    cfg = InferenceConfig()
+    out = model.forward_full(clip[0])
+    scored = score_proposals(out.boundary_map.data,
+                             fuse_bidirectional(out.probs.data[0], out.probs.data[1]))
+    want = reference_soft_nms(scored, cfg)
+    got = pipeline.predict_clip(model, clip, cfg)
+    assert len(got) == cfg.top_k
+    assert np.array([(p.segment.start, p.segment.end, p.score) for p in got]).tobytes() == \
+        want.tobytes()
 
 
 # -- predictions file ----------------------------------------------------------

@@ -286,6 +286,34 @@ def test_frame_head_gradient_matches_finite_differences():
         assert err <= 1e-4, f"{name}: {err:.3e}"
 
 
+def test_frame_head_gradient_reaches_the_odd_last_frame():
+    # At T = 15 the first max_pool1d pools frame 14 alone and the last
+    # upsample1d copy has no pair. The loss weighs the last output frame
+    # 90 times the others, so the gradients through those two paths are
+    # O(1): a dropped one shows far above the bound.
+    model = Model(TINY, seed=1)
+    rng = np.random.default_rng(3)
+    fused = rng.normal(size=(2, 15, TINY.channels + 1))
+    weights = rng.normal(size=(2, 15, 3))
+    weights[:, -1] *= weights.size
+
+    def loss(x):
+        return ad.mean(ad.mul(model.frame_prob_head(x), Tensor(weights)))
+
+    x = Tensor(fused, requires_grad=True)
+    loss(x).backward()
+    probe = fused.copy()  # central_differences perturbs it, or a parameter, in place
+    points = {"fused": (x.grad, probe)} | {
+        name: (model.params[name].grad, model.params[name].data)
+        for name in ("frame_head.enc1_w", "frame_head.enc2_w", "frame_head.dec1_w",
+                     "frame_head.dec2_w")}
+    for name, (analytic, point) in points.items():
+        numeric = ad.central_differences(lambda: loss(Tensor(probe)).data.reshape(1), point,
+                                         h=1e-5).reshape(analytic.shape)
+        err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
+        assert err <= 1e-4, f"{name}: {err:.3e}"
+
+
 # -- full forward -----------------------------------------------------------
 
 def test_forward_full_deterministic():

@@ -1,9 +1,10 @@
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from avloc.data import SynthConfig, generate_dataset
+from avloc.data import FeatureStream, SynthConfig, generate_dataset
 from avloc.losses import LossConfig
 from avloc.model import Model, ModelConfig
 from avloc.train import OptimConfig, build_targets, clip_losses, train
@@ -32,6 +33,21 @@ def test_non_finite_loss_stops_training_naming_the_clip():
     assert any(repr(ann.id) in message for _, ann in clips)
     assert "nan" in message
 
+
+
+def test_train_checks_every_clips_feature_widths_before_building_any_target(monkeypatch):
+    # The narrow clip is the last validation clip; no target may be built first.
+    train_clips = _clips(SMALL, 2)
+    stream, ann = _clips(SMALL, 1, seed=1)[0]
+    narrow = (FeatureStream(audio=stream.audio[:, :3], visual=stream.visual), ann)
+    built = []
+    # avloc.train, the module: the package exports the function under that name
+    monkeypatch.setattr(importlib.import_module("avloc.train"), "build_targets", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=rf"^clip {ann.id!r}: stream has 3-wide audio "
+                                         rf"features, but model.d_audio is 8$"):
+        train(Model(SMALL, seed=0), train_clips, [train_clips[0], narrow], LossConfig(),
+              OptimConfig(epochs=1))
+    assert built == []
 
 def test_training_peak_holds_one_clip_graph():
     # backward() releases each clip's graph, so the next clip's forward does
