@@ -18,7 +18,7 @@ predict_clip(), keeps a released graph's memory in the heap for the next
 graph instead of handing it back to the kernel.
 
 Ops: add, mul, scalar_mul, matmul, transpose, reshape, flip, concat,
-sigmoid, relu, log, sqrt, pow_const, softmax, mean, conv1d, max_pool1d,
+sigmoid, relu, sqrt, focal, softmax, mean, conv1d, max_pool1d,
 upsample1d, banded_matmul and batch_element. conv1d is a same-padded
 correlation over time; sums are written as mean times count.
 
@@ -360,12 +360,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one e^-|x|.
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
     return _op(s, [(a, lambda g: g * s * (1.0 - s))])
 
 
@@ -379,12 +376,6 @@ def relu(a: Tensor) -> Tensor:
     return _op(out, [(a, lambda g: g * mask)])
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log: input must be strictly positive")
-    return _op(np.log(a.data), [(a, lambda g: g / a.data)])
-
-
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0):
         raise ValueError("sqrt: input must be nonnegative")
@@ -393,14 +384,30 @@ def sqrt(a: Tensor) -> Tensor:
     return _op(r, [(a, lambda g: np.divide(g, 2.0 * r, out=np.zeros_like(g), where=r > 0))])
 
 
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    c = float(exponent)
-    if c == 0.0:
-        return Tensor(np.ones_like(a.data))
-    if np.any(a.data < 0):
-        raise ValueError("pow_const: input must be nonnegative")
-    data = a.data ** c
-    return _op(data, [(a, lambda g: g * c * a.data ** (c - 1.0))])
+def focal(z: Tensor, positive: Array, alpha: float, gamma: float) -> Tensor:
+    """Class-balanced focal terms -w (1 - p)^gamma log p of logits z (Lin et al., 2017).
+
+    p = sigmoid(s z) is the true class's probability, s = 1 and w = alpha
+    where `positive` (z's shape) holds, s = -1 and w = 1 - alpha elsewhere.
+    log p and 1 - p come from softplus, so the terms and their gradient are
+    finite for every finite z, a saturated sigmoid included.
+    """
+    g = np.asarray(positive, dtype=bool)
+    if g.shape != z.shape:
+        raise ShapeError(f"focal: shapes differ, logits {z.shape} vs labels {g.shape}")
+    s = np.where(g, 1.0, -1.0)
+    w = np.where(g, alpha, 1.0 - alpha)
+    x = s * z.data
+    # softplus(+-x) = max(+-x, 0) + log(1 + e^-|x|): unlike logaddexp, no warning on NaN.
+    tail = np.log1p(np.exp(-np.abs(x)))
+    log_p = -(np.maximum(-x, 0.0) + tail)
+    q = np.exp(-(np.maximum(x, 0.0) + tail))  # 1 - p
+    focus = q ** gamma
+
+    def vjp(grad: Array) -> Array:
+        return grad * s * w * (gamma * np.exp(log_p) * focus * log_p - focus * q)
+
+    return _op(-w * focus * log_p, [(z, vjp)])
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

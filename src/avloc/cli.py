@@ -108,13 +108,15 @@ def cmd_train(args) -> int:
         fh.write(LOSS_CSV_HEADER + "\n")
         for step, l_fc, l_cp, l_fp, total in result.step_log:
             fh.write(f"{step},{l_fc!r},{l_cp!r},{l_fp!r},{total!r}\n")
-    # One JSON line per epoch: the mean of each train term over the epoch's
-    # steps, the validation loss, the lr and the epoch's seconds and clips/s.
+    # One JSON line per epoch: the mean of each train and validation term,
+    # the validation loss, the lr, the mean batch gradient norm and the
+    # epoch's seconds and clips/s.
     terms = LOSS_CSV_HEADER.split(",")[1:]
     with open(log_path.with_suffix(".epochs.jsonl"), "w") as fh:
-        for epoch, val_loss, lr, seconds, train_means in result.epoch_log:
+        for epoch, val_loss, lr, seconds, train_means, val_means, grad_norm in result.epoch_log:
             record = {"epoch": epoch, "train": dict(zip(terms, train_means)),
-                      "val_loss": val_loss, "lr": lr, "seconds": seconds,
+                      "val": dict(zip(terms, val_means)), "val_loss": val_loss, "lr": lr,
+                      "grad_norm": grad_norm, "seconds": seconds,
                       "clips_per_s": len(train_clips) / seconds}
             fh.write(json.dumps(record) + "\n")
     print(

@@ -4,7 +4,8 @@ Builds a model and one synthetic clip, computes all loss terms once
 analytically, then sweeps every parameter coordinate with central
 differences and reports the worst relative error per (loss, parameter
 group). The relative error per coordinate is
-|analytic - numeric| / max(1, |analytic|).
+|analytic - numeric| / max(1, |analytic|). At the step h = 1e-6 every pair
+reads about 1e-10; at 1e-5 a frame-head relu or max-pool kink lay within h.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def model_grad_errors(
     loss_cfg: LossConfig = LossConfig(),
     d_f: float = 1.0,
     seed: int = 0,
-    h: float = 1e-5,
+    h: float = 1e-6,
     threshold: float = 1e-4,
 ) -> GradCheckReport:
     model = Model(model_cfg, seed=seed)

@@ -9,7 +9,8 @@ Three terms combined as alpha * contrastive + boundary-map MSE + focal sum:
 * a masked MSE between the predicted and target boundary maps, averaged
   over in-range cells only;
 * a class-balanced focal loss on the frame head's start / end / content
-  output of both directions.
+  logits of both directions, one `autodiff.focal` op, finite also where
+  the sigmoid saturates.
 
 The contrastive and focal terms read the model's stacked direction pair
 ([2, T, .], element 1 in reversed time) as it is, one op chain for both
@@ -86,45 +87,23 @@ def boundary_map_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Ten
     return ad.scalar_mul(ad.mean(masked), masked.size / count)
 
 
-def _focal_terms(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Class-balanced focal BCE of each prediction against its binarized soft label.
-
-    g = [target > threshold]; p_hat is the probability assigned to the true
-    class; each entry is weight * (1 - p_hat)^beta1 * BCE.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ad.ShapeError(f"focal: shapes differ, pred {pred.shape} vs target {target.shape}")
-    if not np.all((pred.data > 0) & (pred.data < 1)):  # also rejects NaN
-        raise ValueError("focal: predictions must lie strictly inside (0, 1)")
-    if not np.all((target >= 0) & (target <= 1)):  # also rejects NaN
-        raise ValueError("focal: targets must lie in [0, 1]")
-    g = (target > cfg.label_threshold).astype(np.float64)
-    weight = cfg.beta0 * g + (1.0 - cfg.beta0) * (1.0 - g)
-    p_hat = ad.mul(pred, Tensor(g)) + ad.mul(1.0 - pred, Tensor(1.0 - g))
-    bce = -ad.log(p_hat)
-    focus = ad.pow_const(1.0 - p_hat, cfg.beta1)
-    return ad.mul(Tensor(weight), ad.mul(focus, bce))
-
-
-def focal_loss(pred: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Mean class-balanced focal BCE against the binarized soft labels."""
-    return ad.mean(_focal_terms(pred, target, cfg))
-
-
-def frame_prob_loss(probs: Tensor, triplets: np.ndarray, cfg: LossConfig) -> Tensor:
+def frame_prob_loss(logits: Tensor, triplets: np.ndarray, cfg: LossConfig) -> Tensor:
     """Sum of the six per-column focal terms (start/end/content, both directions).
 
-    probs and triplets are stacked [2, T, 3] pairs, element 1 in reversed
-    time. The focal term is elementwise, so one pass covers both directions,
-    and 3 times a direction's mean is the sum of its three column means.
-    The mean is taken per direction, then 6 times the mean of the two (which
-    rounds like 3 times their sum): one mean over all 6T entries sums in
-    another order and can change the loss in its last bit.
+    logits and triplets are stacked [2, T, 3] pairs, element 1 in reversed
+    time; the soft labels are binarized at cfg.label_threshold. One focal
+    pass covers both directions, and 3 times a direction's mean is the sum
+    of its three column means. The mean is taken per direction, then 6
+    times the mean of the two (which rounds like 3 times their sum): one
+    mean over all 6T entries sums in another order and can change the loss
+    in its last bit.
     """
-    if probs.data.ndim != 3 or probs.shape[0] != 2:
-        raise ad.ShapeError(f"frame prob loss: expected a [2, T, 3] pair, got {probs.shape}")
-    terms = _focal_terms(probs, triplets, cfg)
+    if logits.data.ndim != 3 or logits.shape[0] != 2:
+        raise ad.ShapeError(f"frame prob loss: expected a [2, T, 3] pair, got {logits.shape}")
+    triplets = np.asarray(triplets, dtype=np.float64)
+    if not np.all((triplets >= 0) & (triplets <= 1)):  # also rejects NaN
+        raise ValueError("frame prob loss: targets must lie in [0, 1]")
+    terms = ad.focal(logits, triplets > cfg.label_threshold, cfg.beta0, cfg.beta1)
     per_direction = ad.mean(ad.reshape(terms, (2, terms.size // 2)), axis=1)
     return ad.scalar_mul(ad.mean(per_direction), 6.0)
 

@@ -9,7 +9,8 @@ with a frame classifier, then two heads on the fused per-frame features:
   conv folded into the sampling and a linear read-out. The kernel is
   indexed by offset from the start, so its size does not grow with T;
 * a frame-probability head, a 2-level U-Net over time producing a [T, 3]
-  tensor of per-frame probabilities, columns start / end / content.
+  tensor of per-frame logits, columns start / end / content. The loss
+  takes the logits (`autodiff.focal`); inference applies the sigmoid.
 
 No parameter or buffer depends on the clip length T, which is read from
 each clip: one model serves any T >= 1, T < L included (the U-Net pools an
@@ -186,7 +187,7 @@ class EncodeOutput:
 @dataclass
 class ForwardOutput:
     boundary_map: Tensor                # [L, T], forward direction
-    probs: Tensor                       # [2, T, 3] start / end / content
+    frame_logits: Tensor                # [2, T, 3] start / end / content
     f_av: Tensor = field(repr=False)    # [2, T, C], as in EncodeOutput
     f_va: Tensor = field(repr=False)    # [2, T, C]
 
@@ -291,7 +292,7 @@ class Model:
 
     def frame_prob_head(self, fused: Tensor) -> Tensor:
         """2-level U-Net over time on a stacked pair: [B, T, C+1] -> [B, T, 3]
-        start / end / content probabilities."""
+        start / end / content logits (no sigmoid)."""
         p = self.params
         e1 = _conv_relu(fused, p["frame_head.enc1_w"], p["frame_head.enc1_b"])
         p1 = ad.max_pool1d(e1)
@@ -301,17 +302,16 @@ class Model:
         d1 = _conv_relu(ad.concat([u1, e2], axis=-1), p["frame_head.dec1_w"], p["frame_head.dec1_b"])
         u2 = ad.upsample1d(d1, e1.shape[-2])
         d2 = _conv_relu(ad.concat([u2, e1], axis=-1), p["frame_head.dec2_w"], p["frame_head.dec2_b"])
-        return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"],
-                                 batched=True))
+        return ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"], batched=True)
 
     def forward_full(self, stream: FeatureStream) -> ForwardOutput:
         """Both heads on one stacked pass: the boundary map of the forward
-        element and the [2, T, 3] frame probabilities of both directions."""
+        element and the [2, T, 3] frame logits of both directions."""
         enc = self.encode_and_fuse(stream)
-        probs = self.frame_prob_head(enc.fused)
+        frame_logits = self.frame_prob_head(enc.fused)
         return ForwardOutput(
             boundary_map=self.boundary_map_head(ad.batch_element(enc.fused, 0)),
-            probs=probs, f_av=enc.f_av, f_va=enc.f_va,
+            frame_logits=frame_logits, f_av=enc.f_av, f_va=enc.f_va,
         )
 
 

@@ -1,17 +1,17 @@
 """Dataset-level orchestration shared by the CLI and the experiment scripts.
 
-The model's frame head emits the stacked [2, T, 3] pair of both directions
-(columns start, end, content; element 1 in reversed time); fusion and
-scoring read its two elements of the data array as they are. Scoring and
-Soft-NMS work on [P, 3] (start, end, score) arrays; `predict_clip` returns
-the kept rows as ScoredProposal objects.
+The model's frame head emits the stacked [2, T, 3] logits of both directions
+(columns start, end, content; element 1 in reversed time); `predict_clip`
+applies one sigmoid to the pair, and fusion and scoring read its two
+elements. Scoring and Soft-NMS work on [P, 3] (start, end, score) arrays;
+`predict_clip` returns the kept rows as ScoredProposal objects.
 """
 
 from __future__ import annotations
 
 import time
 
-from .autodiff import keep_freed_memory, no_grad
+from .autodiff import keep_freed_memory, no_grad, sigmoid
 from .data import Clip, Segment, StreamAnnotation
 from .inference import (
     InferenceConfig,
@@ -46,10 +46,11 @@ def predict_clip(
     ticks = [time.perf_counter()]
     with no_grad():
         out = model.forward_full(stream)
+        pair = sigmoid(out.frame_logits).data
     ticks.append(time.perf_counter())
-    probs = out.probs.data[0]
+    probs = pair[0]
     if fusion == "both":
-        probs = fuse_bidirectional(probs, out.probs.data[1])
+        probs = fuse_bidirectional(probs, pair[1])
     ticks.append(time.perf_counter())
     scored = score_proposals(out.boundary_map.data, probs)
     ticks.append(time.perf_counter())

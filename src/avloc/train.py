@@ -3,7 +3,7 @@
 Supervision targets are precomputed once per clip as plain float64 arrays
 in the heads' layouts: frame labels [T], boundary map and its in-range mask
 [L, T], and the start / end / content triplets of both directions stacked
-as [2, T, 3] like the model's frame probabilities, element 1 in reversed
+as [2, T, 3] like the model's frame logits, element 1 in reversed
 time. The losses take the model's stacked pair as it is. Each
 optimization step accumulates gradients over a batch of clips, scales by
 the batch size, and applies one parameter update. A clip whose four loss
@@ -96,7 +96,7 @@ def clip_losses(model: Model, clip: Clip, targets: ClipTargets, cfg: LossConfig)
     out = model.forward_full(stream)
     l_fc = contrastive_loss(out.f_av, out.f_va, targets.frame_labels, cfg)
     l_cp = boundary_map_loss(out.boundary_map, targets.boundary, targets.mask)
-    l_fp = frame_prob_loss(out.probs, targets.triplets, cfg)
+    l_fp = frame_prob_loss(out.frame_logits, targets.triplets, cfg)
     return LossBreakdown(l_fc, l_cp, l_fp, total_loss(l_fc, l_cp, l_fp, cfg))
 
 
@@ -140,8 +140,10 @@ class _Adam:
 class TrainResult:
     model: Model
     step_log: list[tuple[int, float, float, float, float]] = field(default_factory=list)
-    # epoch, val loss, lr, seconds (steps and validation), mean step_log losses
-    epoch_log: list[tuple[int, float, float, float, tuple[float, ...]]] = field(default_factory=list)
+    # epoch, val loss, lr, seconds (steps and validation), mean step_log losses,
+    # mean val losses as in step_log, mean L2 norm of the steps' batch-mean gradients
+    epoch_log: list[tuple[int, float, float, float, tuple[float, ...], tuple[float, ...], float]] = \
+        field(default_factory=list)
     best_val: float = float("inf")
     best_epoch: int = -1
 
@@ -175,6 +177,7 @@ def train(
     for epoch in range(optim_cfg.epochs):
         started = time.perf_counter()
         first_step = len(result.step_log)
+        grad_norms = []
         order = rng.permutation(len(train_clips))
         for lo in range(0, len(order), optim_cfg.batch_size):
             batch = order[lo:lo + optim_cfg.batch_size]
@@ -191,6 +194,8 @@ def train(
                     )
                 losses.total.backward()
                 sums += values
+            grads = [p.grad for p in model.params.values() if p.grad is not None]
+            grad_norms.append(float(np.sqrt(sum(np.vdot(g, g) for g in grads))) / len(batch))
             opt.step(1.0 / len(batch))
             step += 1
             avg = sums / len(batch)
@@ -200,16 +205,17 @@ def train(
 
         if val_clips:
             with no_grad():
-                val_loss = float(np.mean([
-                    clip_losses(model, clip, tgt, loss_cfg).total.item()
-                    for clip, tgt in zip(val_clips, val_targets)
-                ]))
+                val_values = [clip_losses(model, clip, tgt, loss_cfg).values()
+                              for clip, tgt in zip(val_clips, val_targets)]
+            val_means = tuple(float(np.mean(col)) for col in zip(*val_values))
         else:
-            val_loss = result.step_log[-1][4]
+            val_means = result.step_log[-1][1:]
+        val_loss = val_means[3]
         columns = list(zip(*result.step_log[first_step:]))[1:]
         result.epoch_log.append(
             (epoch, val_loss, opt.lr, time.perf_counter() - started,
-             tuple(sum(col) / len(col) for col in columns)))
+             tuple(sum(col) / len(col) for col in columns), val_means,
+             sum(grad_norms) / len(grad_norms)))
 
         if val_loss < result.best_val:
             result.best_val = val_loss

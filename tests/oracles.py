@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from avloc import autodiff as ad
 from avloc.autodiff import Tensor
 from avloc.data import FeatureStream, Segment, StreamAnnotation, interval_iou
-from avloc.losses import LossConfig, boundary_map_loss, focal_loss, total_loss
+from avloc.losses import LossConfig, boundary_map_loss, total_loss
 from avloc.model import ForwardOutput, Model
 
 
@@ -398,7 +398,7 @@ def _reference_frame_prob_head(model: Model, fused):
         ad.conv1d(ad.concat([u2, e1], axis=1), p["frame_head.dec2_w"]),
         p["frame_head.dec2_b"],
     ))
-    return ad.sigmoid(ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"]))
+    return ad.add(ad.conv1d(d2, p["frame_head.out_w"]), p["frame_head.out_b"])
 
 
 def _reference_two_pass(model: Model, stream: FeatureStream):
@@ -407,14 +407,15 @@ def _reference_two_pass(model: Model, stream: FeatureStream):
     per direction on unbatched [T, .] tensors; the boundary-map head is the
     model's own. Its encoder has since gained the residual path (each
     modality's features added to its attention output), and so has
-    `_reference_encode_and_fuse`. Returns the boundary map and the
-    [forward, backward] lists of frame probabilities and of both fused
+    `_reference_encode_and_fuse`, and its frame head has since lost its
+    final sigmoid, as `_reference_frame_prob_head` has. Returns the boundary
+    map and the [forward, backward] lists of frame logits and of both fused
     cross-attention outputs."""
     fwd = _reference_encode_and_fuse(model, stream, "forward")
     bwd = _reference_encode_and_fuse(model, stream, "backward")
     boundary_map = model.boundary_map_head(fwd[0])
-    probs = [_reference_frame_prob_head(model, fwd[0]), _reference_frame_prob_head(model, bwd[0])]
-    return boundary_map, probs, [fwd[1], bwd[1]], [fwd[2], bwd[2]]
+    logits = [_reference_frame_prob_head(model, fwd[0]), _reference_frame_prob_head(model, bwd[0])]
+    return boundary_map, logits, [fwd[1], bwd[1]], [fwd[2], bwd[2]]
 
 
 def _stack(pair) -> Tensor:
@@ -424,8 +425,8 @@ def _stack(pair) -> Tensor:
 def reference_forward_full(model: Model, stream: FeatureStream) -> ForwardOutput:
     """The earlier two-pass forward, its per-direction outputs stacked into
     the [2, T, .] fields of `ForwardOutput`."""
-    boundary_map, probs, f_av, f_va = _reference_two_pass(model, stream)
-    return ForwardOutput(boundary_map=boundary_map, probs=_stack(probs),
+    boundary_map, logits, f_av, f_va = _reference_two_pass(model, stream)
+    return ForwardOutput(boundary_map=boundary_map, frame_logits=_stack(logits),
                          f_av=_stack(f_av), f_va=_stack(f_va))
 
 
@@ -457,13 +458,14 @@ def _reference_contrastive_loss(f_av_fwd, f_va_fwd, f_av_bwd, f_va_bwd, y, cfg) 
 def reference_clip_losses(model: Model, clip, targets, cfg: LossConfig):
     """The earlier `train.clip_losses` on the two-pass forward: the
     contrastive term over four per-direction tensors and the frame term as
-    3 * (focal_fwd + focal_bwd). Returns (contrastive, boundary, frame, total)."""
-    boundary_map, probs, f_av, f_va = _reference_two_pass(model, clip[0])
+    3 * (focal_fwd + focal_bwd), each the mean of `autodiff.focal` over one
+    direction's [T, 3] logits. Returns (contrastive, boundary, frame, total)."""
+    boundary_map, logits, f_av, f_va = _reference_two_pass(model, clip[0])
     contrastive = _reference_contrastive_loss(f_av[0], f_va[0], f_av[1], f_va[1],
                                               targets.frame_labels, cfg)
     boundary = boundary_map_loss(boundary_map, targets.boundary, targets.mask)
-    both = (focal_loss(probs[0], targets.triplets[0], cfg)
-            + focal_loss(probs[1], targets.triplets[1], cfg))
+    both = ad.add(*(ad.mean(ad.focal(z, target > cfg.label_threshold, cfg.beta0, cfg.beta1))
+                    for z, target in zip(logits, targets.triplets)))
     frame = ad.scalar_mul(both, 3.0)
     return contrastive, boundary, frame, total_loss(contrastive, boundary, frame, cfg)
 

@@ -171,9 +171,70 @@ def test_conv_shape_errors_name_op(op, x_shape, w_shape):
         getattr(ad, op)(Tensor(rand(*x_shape)), Tensor(rand(*w_shape)))
 
 
-def test_log_rejects_nonpositive():
-    with pytest.raises(ValueError, match="positive"):
-        ad.log(Tensor([0.0, 1.0]))
+def _reference_sigmoid(x):
+    """The earlier sigmoid: the two stable forms scattered by a boolean mask."""
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return s
+
+
+@pytest.mark.parametrize("size", [1, 7, 33, 4096])
+def test_sigmoid_bytes_match_the_masked_formula(size):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                        5e-324, -5e-324, 2e-308, -2e-308, np.nan])
+    rng = np.random.default_rng(size)
+    x = np.concatenate([special, rng.normal(scale=10.0, size=size)])
+    got, want = ad.sigmoid(Tensor(x)).data, _reference_sigmoid(x)
+    np.testing.assert_array_equal(got, want)  # NaN stays NaN, its bit pattern may differ
+    finite = ~np.isnan(x)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def _probability_space_focal(z, positive, alpha, gamma):
+    """The earlier focal terms, -w (1 - p)^gamma log p on p = sigmoid(z) for
+    positives and 1 - sigmoid(z) elsewhere, in extended precision: in float64,
+    1 - p loses digits to cancellation once p is near 1."""
+    z = z.astype(np.longdouble)
+    p = 1.0 / (1.0 + np.exp(-z))
+    p_hat = np.where(positive, p, 1.0 - p)
+    w = np.where(positive, alpha, 1.0 - alpha)
+    return w * (1.0 - p_hat) ** gamma * -np.log(p_hat)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is float64 here")
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+def test_focal_matches_the_probability_space_formula(gamma):
+    rng = np.random.default_rng(int(10 * gamma))
+    z = np.concatenate([np.linspace(-8.0, 8.0, 161), rng.uniform(-8.0, 8.0, 2000)])
+    for positive in (np.ones(z.size, bool), np.zeros(z.size, bool), rng.uniform(size=z.size) > 0.5):
+        got = ad.focal(Tensor(z), positive, 0.75, gamma).data
+        np.testing.assert_allclose(got, _probability_space_focal(z, positive, 0.75, gamma).astype(
+            np.float64), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+def test_focal_is_finite_at_saturated_logits(gamma):
+    # sigmoid(40.0) is exactly 1.0 in float64, so log(1 - p) would be -inf.
+    z = Tensor(np.array([-1e300, -800.0, -50.0, -40.0, -0.0, 0.0, 40.0, 50.0, 800.0, 1e300]),
+               requires_grad=True)
+    for positive in (np.ones(z.size, bool), np.zeros(z.size, bool)):
+        z.zero_grad()
+        terms = ad.focal(z, positive, 0.75, gamma)
+        assert np.all(np.isfinite(terms.data)) and np.all(terms.data >= 0.0)
+        ad.mean(terms).backward()
+        assert np.all(np.isfinite(z.grad))
+    # A wrong class far out costs |z| w and has slope -w, whatever gamma is.
+    wrong = ad.focal(Tensor([-50.0, 50.0]), [True, False], 0.75, gamma).data
+    np.testing.assert_allclose(wrong, [0.75 * 50.0, 0.25 * 50.0], rtol=1e-15)
+
+
+def test_focal_rejects_labels_of_another_shape():
+    with pytest.raises(ShapeError, match=r"focal: shapes differ, logits \(2, 3\) vs labels \(3,\)"):
+        ad.focal(Tensor(np.zeros((2, 3))), np.ones(3, bool), 0.75, 2.0)
 
 
 def test_max_pool_ties_route_to_lowest_index():
@@ -585,9 +646,11 @@ OP_CASES = {
         ad.mul(ad.transpose(x, (1, 2, 0, 3)), c))), (2, 3, 2, 4)),
     "reshape": lambda: ((lambda x: _sq_mean(ad.reshape(x, (16,)))), (4, 4)),
     "flip": lambda: ((lambda x: _sq_mean(ad.flip(x, axis=0))), (4, 4)),
-    "log": lambda: ((lambda x: _sq_mean(ad.log(_positive(x)))), (4, 4)),
     "sqrt": lambda: ((lambda x: _sq_mean(ad.sqrt(_positive(x)))), (4, 4)),
-    "pow_const": lambda: ((lambda x: _sq_mean(ad.pow_const(_positive(x), 1.7))), (4, 4)),
+    # Focal terms of logits against a mix of positive and negative labels.
+    "focal_gamma0": lambda: ((lambda x, g=rand(4, 4) > 0: ad.mean(ad.focal(x, g, 0.75, 0.0))), (4, 4)),
+    "focal_gamma0.5": lambda: ((lambda x, g=rand(4, 4) > 0: ad.mean(ad.focal(x, g, 0.75, 0.5))), (4, 4)),
+    "focal_gamma2": lambda: ((lambda x, g=rand(2, 4, 3) > 0: ad.mean(ad.focal(x, g, 0.25, 2.0))), (2, 4, 3)),
     "banded_matmul_kernel": lambda: ((lambda k, c=Tensor(rand(5, 2)): _sq_mean(ad.banded_matmul(k, c))), (1, 3, 3)),
     "banded_matmul_x": lambda: ((lambda x, c=Tensor(rand(1, 3, 3)): _sq_mean(ad.banded_matmul(c, x))), (5, 2)),
     "banded_matmul_kernel_square": lambda: ((lambda k, c=Tensor(rand(4, 2)): _sq_mean(ad.banded_matmul(k, c))), (1, 4, 4)),

@@ -183,6 +183,8 @@ def test_train_writes_one_json_line_per_epoch(dataset, tmp_path, capsys):
         assert r["train"] == {name: sum(col) / 2 for name, col in zip(
             ("contrastive", "boundary_map", "frame_prob", "total"), zip(*epoch_steps))}
         assert math.isfinite(r["val_loss"]) and r["lr"] == 0.05
+        assert set(r["val"]) == set(r["train"]) and r["val"]["total"] == r["val_loss"]
+        assert math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
         assert r["seconds"] > 0 and r["clips_per_s"] == 6 / r["seconds"]
 
 

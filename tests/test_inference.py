@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avloc import autodiff as ad
 from avloc import inference, pipeline
 from avloc.data import DatasetFormatError, Segment, SynthConfig, generate_clip
 from avloc.inference import (
@@ -485,7 +486,7 @@ def test_predict_clip_records_no_graph_and_keeps_its_bytes(monkeypatch, fusion):
     monkeypatch.setattr(pipeline, "no_grad", contextlib.nullcontext)
     tracked = pipeline.predict_clip(model, clip, InferenceConfig(), fusion)
     untracked_out, tracked_out = outputs
-    for name in ("boundary_map", "probs"):
+    for name in ("boundary_map", "frame_logits"):
         assert getattr(untracked_out, name)._parents == ()
         assert getattr(tracked_out, name)._parents
         assert getattr(untracked_out, name).data.tobytes() == getattr(tracked_out, name).data.tobytes()
@@ -499,8 +500,8 @@ def test_predict_clip_keeps_the_all_rows_reference_picks():
     clip = generate_clip(SynthConfig(), np.random.default_rng(7), "c")
     cfg = InferenceConfig()
     out = model.forward_full(clip[0])
-    scored = score_proposals(out.boundary_map.data,
-                             fuse_bidirectional(out.probs.data[0], out.probs.data[1]))
+    pair = ad.sigmoid(out.frame_logits).data
+    scored = score_proposals(out.boundary_map.data, fuse_bidirectional(pair[0], pair[1]))
     want = reference_soft_nms(scored, cfg)
     got = pipeline.predict_clip(model, clip, cfg)
     assert len(got) == cfg.top_k

@@ -9,7 +9,6 @@ from avloc.losses import (
     LossConfig,
     boundary_map_loss,
     contrastive_loss,
-    focal_loss,
     frame_prob_loss,
     total_loss,
 )
@@ -170,62 +169,87 @@ def test_boundary_loss_gradients():
 
 # -- focal ------------------------------------------------------------------
 
+def _focal_mean(logits: Tensor, target, cfg=CFG) -> Tensor:
+    """Mean class-balanced focal term of logits against soft labels."""
+    positive = np.asarray(target) > cfg.label_threshold
+    return ad.mean(ad.focal(logits, positive, cfg.beta0, cfg.beta1))
+
+
 def test_focal_hand_value():
     cfg = LossConfig(beta0=0.75, beta1=2.0)
-    loss = focal_loss(Tensor(np.array([0.5])), np.array([1.0]), cfg)
+    loss = _focal_mean(Tensor(np.array([0.0])), np.array([1.0]), cfg)
     assert loss.item() == pytest.approx(0.75 * 0.25 * math.log(2.0))
 
 
 def test_focal_reduces_to_half_bce_when_unfocused():
     cfg = LossConfig(beta0=0.5, beta1=0.0)
     rng = np.random.default_rng(3)
-    p = rng.uniform(0.05, 0.95, size=6)
+    z = rng.normal(scale=2.0, size=6)
+    p = 1.0 / (1.0 + np.exp(-z))
     target = (rng.uniform(size=6) > 0.5).astype(float)
     bce = -(target * np.log(p) + (1 - target) * np.log(1 - p)).mean()
-    loss = focal_loss(Tensor(p), target, cfg)
+    loss = _focal_mean(Tensor(z), target, cfg)
     assert loss.item() == pytest.approx(0.5 * bce)
 
 
 def test_focal_vanishes_for_confident_correct_predictions():
     target = np.array([1.0, 0.0, 1.0])
-    p = np.array([1 - 1e-9, 1e-9, 1 - 1e-9])
-    assert focal_loss(Tensor(p), target, CFG).item() < 1e-15
+    z = np.array([40.0, -40.0, 50.0])  # saturated: sigmoid(40.0) is exactly 1.0
+    assert _focal_mean(Tensor(z), target).item() < 1e-15
 
 
 def test_focal_monotone_decreasing_in_true_class_probability():
     target = np.array([1.0])
-    values = [focal_loss(Tensor(np.array([p])), target, CFG).item()
-              for p in np.linspace(0.05, 0.95, 10)]
+    values = [_focal_mean(Tensor(np.array([z])), target).item() for z in np.linspace(-3, 3, 10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_focal_rejects_out_of_range():
-    for bad in (0.0, 1.0, np.nan):  # a NaN prediction fails both range comparisons
-        with pytest.raises(ValueError, match="strictly inside"):
-            focal_loss(Tensor(np.array([bad, 0.5])), np.array([1.0, 0.0]), CFG)
+    # Any finite logit is a valid prediction; the soft targets must lie in [0, 1].
+    rng = np.random.default_rng(8)
+    logits = Tensor(rng.normal(size=(2, 4, 3)))
     for bad in (1.5, -0.5, np.nan):  # a NaN target would read as negative
-        with pytest.raises(ValueError, match="targets"):
-            focal_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, bad]), CFG)
+        triplets = rng.uniform(0, 1, (2, 4, 3))
+        triplets[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="targets must lie in"):
+            frame_prob_loss(logits, triplets, CFG)
 
 
 def test_focal_gradients_through_sigmoid():
+    # The sigmoid runs inside the focal op, which takes logits.
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(trial)
         target = rng.uniform(0, 1, size=8)
 
         def f(x, target=target):
-            return focal_loss(ad.sigmoid(x), target, CFG)
+            return _focal_mean(x, target)
 
-        worst = max(worst, grad_check(f, Tensor(rng.normal(size=8)), h=1e-5))
+        worst = max(worst, grad_check(f, Tensor(rng.normal(scale=3.0, size=8)), h=1e-5))
     assert worst <= 1e-4
+
+
+def test_focal_values_match_the_probability_space_chain():
+    # The loss from logits against the earlier chain on sigmoid
+    # probabilities, in float64, at |z| <= 8.
+    rng = np.random.default_rng(9)
+    for gamma in (0.0, 0.5, 2.0):
+        cfg = LossConfig(beta1=gamma)
+        z = rng.uniform(-8.0, 8.0, (2, 64, 3))
+        triplets = rng.uniform(0, 1, (2, 64, 3))
+        g = triplets > cfg.label_threshold
+        p = 1.0 / (1.0 + np.exp(-z))
+        p_hat = np.where(g, p, 1.0 - p)
+        terms = np.where(g, cfg.beta0, 1.0 - cfg.beta0) * (1.0 - p_hat) ** gamma * -np.log(p_hat)
+        want = 3.0 * terms.reshape(2, -1).mean(axis=1).sum()
+        assert frame_prob_loss(Tensor(z), triplets, cfg).item() == pytest.approx(want, rel=1e-12)
 
 
 # -- frame-probability loss -------------------------------------------------
 
-def _triplet_tensors(rng, t=8):
+def _triplet_logits(rng, t=8):
     # [2, T, 3] columns start, end, content, drawn row-wise as [2, 3, T].
-    return ad.sigmoid(Tensor(np.swapaxes(rng.normal(size=(2, 3, t)), 1, 2)))
+    return Tensor(np.swapaxes(rng.normal(size=(2, 3, t)), 1, 2))
 
 
 def _triplet_labels(rng, t=8):
@@ -235,10 +259,10 @@ def _triplet_labels(rng, t=8):
 
 def test_frame_prob_loss_is_sum_of_six_focal_terms():
     rng = np.random.default_rng(4)
-    probs, triplets = _triplet_tensors(rng), _triplet_labels(rng)
-    loss = frame_prob_loss(probs, triplets, CFG)
+    logits, triplets = _triplet_logits(rng), _triplet_labels(rng)
+    loss = frame_prob_loss(logits, triplets, CFG)
     manual = sum(
-        focal_loss(Tensor(probs.data[d, :, k]), triplets[d, :, k], CFG).item()
+        _focal_mean(Tensor(logits.data[d, :, k]), triplets[d, :, k]).item()
         for d in range(2)
         for k in range(3)
     )
@@ -251,11 +275,11 @@ def test_frame_prob_loss_bytes_match_per_direction_focal_sum(t):
     # value keeps the bytes of 3 * (focal_fwd + focal_bwd) on [T, 3] halves.
     for seed in range(10):
         rng = np.random.default_rng(1000 * t + seed)
-        probs = Tensor(rng.uniform(0.01, 0.99, (2, t, 3)))
+        logits = Tensor(rng.normal(scale=3.0, size=(2, t, 3)))
         triplets = _triplet_labels(rng, t)
-        halves = [focal_loss(Tensor(probs.data[d]), triplets[d], CFG) for d in range(2)]
+        halves = [_focal_mean(Tensor(logits.data[d]), triplets[d]) for d in range(2)]
         want = ad.scalar_mul(halves[0] + halves[1], 3.0)
-        assert frame_prob_loss(probs, triplets, CFG).data.tobytes() == want.data.tobytes()
+        assert frame_prob_loss(logits, triplets, CFG).data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("t", [7, 64, 100])
@@ -264,17 +288,17 @@ def test_frame_prob_loss_gradient_equals_six_column_terms(t):
     # bit-identical to the per-column reference: 6 / 2 / (3T) rounds exactly
     # like 1 / T.
     rng = np.random.default_rng(t)
-    pred = rng.uniform(0.01, 0.99, (2, t, 3))
+    logits = rng.normal(scale=3.0, size=(2, t, 3))
     triplets = _triplet_labels(rng, t)
-    leaf = Tensor(pred.copy(), requires_grad=True)
+    leaf = Tensor(logits.copy(), requires_grad=True)
     frame_prob_loss(leaf, triplets, CFG).backward()
 
-    columns = [[Tensor(pred[d, :, k].copy(), requires_grad=True) for k in range(3)]
+    columns = [[Tensor(logits[d, :, k].copy(), requires_grad=True) for k in range(3)]
                for d in range(2)]
     reference = None
     for cols, true in zip(columns, triplets):
         for k, col in enumerate(cols):
-            term = focal_loss(col, true[:, k], CFG)
+            term = _focal_mean(col, true[:, k])
             reference = term if reference is None else reference + term
     reference.backward()
     for grad, cols in zip(leaf.grad, columns):
@@ -284,17 +308,17 @@ def test_frame_prob_loss_gradient_equals_six_column_terms(t):
 def test_frame_prob_loss_near_zero_for_easy_negatives():
     t = 8
     zeros = np.zeros((2, t, 3))
-    tiny = Tensor(np.full((2, t, 3), 1e-9))
-    assert frame_prob_loss(tiny, zeros, CFG).item() < 1e-12
+    confident = Tensor(np.full((2, t, 3), -20.0))
+    assert frame_prob_loss(confident, zeros, CFG).item() < 1e-12
 
 
 def test_frame_prob_loss_shape_mismatch():
     rng = np.random.default_rng(7)
-    probs = _triplet_tensors(rng)
+    logits = _triplet_logits(rng)
     with pytest.raises(ad.ShapeError, match=r"\[2, T, 3\]"):
-        frame_prob_loss(ad.batch_element(probs, 0), _triplet_labels(rng)[0], CFG)
+        frame_prob_loss(ad.batch_element(logits, 0), _triplet_labels(rng)[0], CFG)
     with pytest.raises(ad.ShapeError, match="focal: shapes differ"):
-        frame_prob_loss(probs, _triplet_labels(rng, t=9), CFG)
+        frame_prob_loss(logits, _triplet_labels(rng, t=9), CFG)
 
 
 def test_frame_prob_loss_gradients():
@@ -303,9 +327,9 @@ def test_frame_prob_loss_gradients():
     fixed = rng.normal(size=(5, 8))
 
     def f(x):
-        pf = ad.reshape(ad.sigmoid(ad.transpose(x)), (1, 8, 3))
-        pb = ad.reshape(ad.sigmoid(Tensor(fixed[:3].T)), (1, 8, 3))
-        return frame_prob_loss(ad.concat([pf, pb], axis=0), triplets, CFG)
+        zf = ad.reshape(ad.transpose(x), (1, 8, 3))
+        zb = ad.reshape(Tensor(fixed[:3].T), (1, 8, 3))
+        return frame_prob_loss(ad.concat([zf, zb], axis=0), triplets, CFG)
 
     assert grad_check(f, Tensor(rng.normal(size=(3, 8))), h=1e-5) <= 1e-4
 
@@ -334,7 +358,7 @@ def test_all_losses_nonnegative_on_random_inputs():
         pred, true, mask = _random_map_pair(seed=trial)
         assert boundary_map_loss(pred, true, mask).item() >= 0.0
         target = rng.uniform(0, 1, 8)
-        assert focal_loss(ad.sigmoid(Tensor(rng.normal(size=8))), target, CFG).item() >= 0.0
+        assert _focal_mean(Tensor(rng.normal(size=8)), target).item() >= 0.0
         embs = _embeddings(seed=trial)
         y = (rng.uniform(size=4) > 0.5).astype(float)
         assert contrastive_loss(*embs, y, CFG).item() >= 0.0

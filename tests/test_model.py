@@ -260,9 +260,9 @@ def test_full_scale_map_head_transient_stays_within_grid_bytes():
 def test_frame_head_shapes_and_zero_head():
     model = Model(TINY, seed=0)
     model.params["frame_head.out_w"].data[:] = 0.0
-    probs = model.frame_prob_head(model.encode_and_fuse(tiny_stream()).fused)
-    assert probs.shape == (2, TINY.num_frames, 3)
-    np.testing.assert_allclose(probs.data, 0.5)
+    logits = model.frame_prob_head(model.encode_and_fuse(tiny_stream()).fused)
+    assert logits.shape == (2, TINY.num_frames, 3)
+    np.testing.assert_array_equal(logits.data, 0.0)  # logits: no sigmoid in the head
 
 
 def test_frame_head_gradient_matches_finite_differences():
@@ -322,7 +322,7 @@ def test_forward_full_deterministic():
     a = model.forward_full(stream)
     b = model.forward_full(stream)
     assert np.array_equal(a.boundary_map.data, b.boundary_map.data)
-    assert np.array_equal(a.probs.data, b.probs.data)
+    assert np.array_equal(a.frame_logits.data, b.frame_logits.data)
 
 
 def test_forward_full_outputs_in_unit_interval():
@@ -330,8 +330,9 @@ def test_forward_full_outputs_in_unit_interval():
     stream = tiny_stream(seed=5)
     out = model.forward_full(stream)
     frame_probs = model.encode_and_fuse(stream).fused.data[..., TINY.channels]
-    assert out.probs.shape == (2, TINY.num_frames, 3)
-    for data in (frame_probs, out.boundary_map.data, out.probs.data):
+    assert out.frame_logits.shape == (2, TINY.num_frames, 3)
+    assert np.all(np.isfinite(out.frame_logits.data))  # logits: any real value
+    for data in (frame_probs, out.boundary_map.data):
         assert np.all(data > 0.0) and np.all(data < 1.0)
 
 
@@ -344,7 +345,7 @@ def test_palindromic_input_gives_identical_directions():
     out = model.forward_full(FeatureStream(audio=audio, visual=visual))
     # Reversing a palindromic stream is a no-op, so the raw backward pass
     # must equal the raw forward pass bit for bit.
-    np.testing.assert_array_equal(out.probs.data[1], out.probs.data[0])
+    np.testing.assert_array_equal(out.frame_logits.data[1], out.frame_logits.data[0])
 
 
 def _clip_for(cfg, seed=0):
@@ -402,12 +403,12 @@ def _recorded_ops(loss):
 
 
 def test_small_clip_step_op_count():
-    # One stacked pair from the encoder to the losses: 110 recorded ops per
-    # clip on the criterion-8 small config.
+    # One stacked pair from the encoder to the losses: 98 recorded ops per
+    # clip on the criterion-8 small config, the focal term one of them.
     clip = _clip_for(SMALL)
     losses = clip_losses(Model(SMALL, seed=0), clip, build_targets(clip[1], SMALL.max_duration, 1.0),
                          LossConfig())
-    assert _recorded_ops(losses.total) == 110
+    assert _recorded_ops(losses.total) == 98
 
 
 def _op_calls(monkeypatch):
@@ -425,7 +426,7 @@ def _op_calls(monkeypatch):
 
 
 def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
-    # Every op call of a training clip-step records a graph node: 110 calls on
+    # Every op call of a training clip-step records a graph node: 98 calls on
     # the small config. The boundary-map loss negates its constant target in
     # numpy instead of through an untracked scalar_mul op call.
     clip = _clip_for(SMALL)
@@ -433,7 +434,7 @@ def test_small_clip_step_op_calls_are_all_tracked(monkeypatch):
     targets = build_targets(clip[1], SMALL.max_duration, 1.0)
     tracked = _op_calls(monkeypatch)
     clip_losses(model, clip, targets, LossConfig())
-    assert len(tracked) == 110
+    assert len(tracked) == 98
     assert all(tracked)
 
 
@@ -456,7 +457,7 @@ def test_forward_full_takes_a_clip_of_22_frames():
     stream = tiny_stream(t=22)
     out = model.forward_full(stream)
     assert out.boundary_map.shape == (TINY.max_duration, 22)
-    assert out.probs.shape == (2, 22, 3)
+    assert out.frame_logits.shape == (2, 22, 3)
     want = reference_forward_full(model, stream)
     for f in fields(ForwardOutput):
         assert getattr(out, f.name).data.tobytes() == getattr(want, f.name).data.tobytes()
@@ -479,17 +480,47 @@ def test_one_model_serves_every_clip_length(t):
                for p in model.params.values())
     out = model.forward_full(clip[0])
     assert out.boundary_map.shape == (cfg.max_duration, t)
-    assert out.probs.shape == (2, t, 3)
+    assert out.frame_logits.shape == (2, t, 3)
     for prop in predict_clip(model, clip, InferenceConfig()):
         assert 0 <= prop.segment.start < prop.segment.end <= t
 
 
+def _assert_gradient_headroom(num_frames):
+    # Criterion 1's bound is 1e-4; with no relu or max-pool kink within the
+    # step, every (loss, group) pair reads about 1e-10, and a dropped
+    # gradient to one frame reads far above 1e-8.
+    report = model_grad_errors(replace(TINY_MODEL, num_frames=num_frames))
+    worst = {key: err for key, err in report.errors.items() if err > 1e-8}
+    assert not worst, f"errors above 1e-8: {worst}"
+
+
 def test_whole_model_gradients_match_finite_differences_at_15_frames():
     # 15 frames pool to 8, then 4, in ceil mode, and the upsampled levels
-    # are cropped to 8 and 15: criterion 1's bound holds for every
-    # parameter group and loss term.
-    report = model_grad_errors(replace(TINY_MODEL, num_frames=15))
-    assert report.passed, f"max relative error {report.max_error:.3e}"
+    # are cropped to 8 and 15.
+    _assert_gradient_headroom(15)
+
+
+def test_whole_model_gradients_match_finite_differences_at_16_frames():
+    # Criterion 1's clip length: every frame pairs up in both pool stages.
+    _assert_gradient_headroom(16)
+
+
+@pytest.mark.parametrize("logit", [(50.0, 50.0, 50.0), (-50.0, -50.0, -50.0), (50.0, -50.0, 50.0)],
+                         ids=["plus", "minus", "mixed"])
+def test_saturated_frame_head_gives_finite_losses_and_gradients(logit):
+    # Every frame-head output is +-50, where sigmoid(50.0) is exactly 1.0:
+    # a focal loss taken on probabilities would need log(1 - 1.0).
+    cfg = SMALL
+    clip = _clip_for(cfg)
+    model = Model(cfg, seed=0)
+    model.params["frame_head.out_w"].data[:] = 0.0
+    model.params["frame_head.out_b"].data[:] = logit
+    losses = clip_losses(model, clip, build_targets(clip[1], cfg.max_duration, 1.0), LossConfig())
+    assert np.all(np.isfinite(losses.values())) and losses.frame.item() > 0.0
+    losses.total.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+    assert np.any(model.params["frame_head.out_b"].grad != 0.0)
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from avloc.autodiff import no_grad
 from avloc.data import FeatureStream, SynthConfig, generate_dataset
 from avloc.losses import LossConfig
 from avloc.model import Model, ModelConfig
@@ -33,6 +34,37 @@ def test_non_finite_loss_stops_training_naming_the_clip():
     assert any(repr(ann.id) in message for _, ann in clips)
     assert "nan" in message
 
+
+def test_nan_frame_logits_reach_the_finite_loss_guard():
+    # The focal term takes any logit, so a NaN one gives a NaN frame loss,
+    # which the finite-loss guard reports with the epoch, step and clip.
+    clips = _clips(SMALL, 4)
+    model = Model(SMALL, seed=0)
+    model.params["frame_head.out_b"].data[:] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite loss at epoch 0, step 1, clip '[^']+'") \
+            as err:
+        train(model, clips, [], LossConfig(), OptimConfig(epochs=1, batch_size=2))
+    assert "frame, total = " in str(err.value) and "nan, nan" in str(err.value)
+
+
+def test_epoch_log_records_validation_terms_and_the_gradient_norm():
+    # One epoch, one step over both train clips: the gradient norm is that
+    # of the two clips' summed gradients over 2, and the validation terms
+    # are those of the one validation clip under the trained parameters.
+    clips = _clips(SMALL, 3)
+    reference = Model(SMALL, seed=0)
+    for clip in clips[:2]:
+        targets = build_targets(clip[1], SMALL.max_duration, 1.0)
+        clip_losses(reference, clip, targets, LossConfig()).total.backward()
+    norm = np.sqrt(sum(np.sum(p.grad ** 2) for p in reference.params.values())) / 2
+    model = Model(SMALL, seed=0)
+    result = train(model, clips[:2], clips[2:], LossConfig(), OptimConfig(epochs=1, batch_size=2))
+    ((_, val_loss, _, _, _, val_means, grad_norm),) = result.epoch_log
+    assert grad_norm == pytest.approx(norm, rel=1e-12)
+    with no_grad():
+        want = clip_losses(model, clips[2], build_targets(clips[2][1], SMALL.max_duration, 1.0),
+                           LossConfig()).values()
+    assert val_means == want and val_loss == want[3]
 
 
 def test_train_checks_every_clips_feature_widths_before_building_any_target(monkeypatch):
